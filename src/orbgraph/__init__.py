@@ -28,7 +28,6 @@ from .orbital import (
     enumerate_base_pairs,
     graph_from_json,
     graph_to_json,
-    graphs_equal,
     is_self_paired,
     isolated_vertices,
     to_dot,

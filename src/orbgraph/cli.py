@@ -3,7 +3,7 @@
 Subcommands: orbits, graph, base-pairs, futility, refine. The group comes
 from a file, or inline when the argument starts with "degree:" or contains
 a newline. Exit codes: 0 success, 1 usage error, 2 input error, 3 internal
-verdict disagreement.
+verdict disagreement or other internal error.
 """
 
 from __future__ import annotations
@@ -245,6 +245,10 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # the library raises RuntimeError only on an internal inconsistency
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -9,7 +9,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .perm import OrderedPartition, PermGroup, Permutation
+from .perm import MAX_DEGREE, OrderedPartition, PermGroup, Permutation, _schreier_tree
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,21 +120,6 @@ def weak_components(graph: OrbitalGraph) -> OrderedPartition:
     return OrderedPartition(n, big + single)
 
 
-def _orbit_witnesses(gens, start: int, degree: int) -> dict[int, Permutation]:
-    """Map each reachable point to a product of gens sending start there."""
-    reach = {start: Permutation.identity(degree)}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        ux = reach[x]
-        for g in gens:
-            y = g.images[x - 1]
-            if y not in reach:
-                reach[y] = ux * g
-                queue.append(y)
-    return reach
-
-
 def arc_mapping_element(group, source, target) -> Permutation | None:
     """A group element sending the ordered pair source to target, or None.
 
@@ -146,12 +131,13 @@ def arc_mapping_element(group, source, target) -> Permutation | None:
     c, d = target
     check_base_pair(group.degree, a, b)
     check_base_pair(group.degree, c, d)
-    u = _orbit_witnesses(group.generators, a, group.degree).get(c)
+    ident = Permutation.identity(group.degree)
+    u = _schreier_tree(group.generators, a, ident).get(c)
     if u is None:
         return None
     stab = group.point_stabilizer(a)
     mid = u.inverse().apply(d)
-    w = _orbit_witnesses(stab.generators, b, group.degree).get(mid)
+    w = _schreier_tree(stab.generators, b, ident).get(mid)
     if w is None:
         return None
     return w * u
@@ -219,13 +205,6 @@ def distinct_base_pairs(group: PermGroup, pairs=None) -> list[tuple[int, int]]:
     return keep
 
 
-def graphs_equal(g1: OrbitalGraph, g2: OrbitalGraph) -> bool:
-    """Arc-set equality; the base pairs may differ."""
-    if g1.degree != g2.degree:
-        raise ValueError("cannot compare graphs of different degree")
-    return g1.arcs == g2.arcs
-
-
 def to_dot(graph: OrbitalGraph) -> str:
     """DOT text: isolated vertices as bare nodes, arcs in sorted order."""
     lines = ["digraph orbital {"]
@@ -246,13 +225,30 @@ def graph_to_json(graph: OrbitalGraph) -> str:
     )
 
 
+def _json_pair(value, degree: int) -> tuple[int, int]:
+    # bool is a subclass of int, so test the exact type
+    if not (isinstance(value, list) and len(value) == 2 and all(type(p) is int for p in value)):
+        raise ValueError(f"expected a pair of integer points, got {value!r}")
+    check_base_pair(degree, *value)
+    return tuple(value)
+
+
 def graph_from_json(text: str) -> OrbitalGraph:
     """Rebuild a graph emitted by graph_to_json; adjacency is rederived and
-    the isolated field is ignored as redundant."""
+    the isolated field is ignored as redundant. Malformed input, including
+    a degree above MAX_DEGREE and pairs outside the degree, raises
+    ValueError."""
     data = json.loads(text)
-    degree = data["degree"]
-    base_pair = tuple(data["base_pair"])
-    arcs = [tuple(a) for a in data["arcs"]]
-    for x, y in arcs:
-        check_base_pair(degree, x, y)
-    return _graph_from_arcs(degree, base_pair, arcs)
+    if not isinstance(data, dict):
+        raise ValueError("graph JSON must be an object")
+    degree = data.get("degree")
+    if type(degree) is not int or not 1 <= degree <= MAX_DEGREE:
+        raise ValueError(f"degree must be an integer in 1..{MAX_DEGREE}, got {degree!r}")
+    arcs = data.get("arcs")
+    if not isinstance(arcs, list):
+        raise ValueError(f"arcs must be a list, got {arcs!r}")
+    return _graph_from_arcs(
+        degree,
+        _json_pair(data.get("base_pair"), degree),
+        [_json_pair(a, degree) for a in arcs],
+    )

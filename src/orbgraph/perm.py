@@ -1,5 +1,6 @@
-"""Permutations of {1..n}, permutation groups backed by stabilizer chains,
-and ordered partitions of the point domain.
+"""Permutations of {1..n}, permutation groups with Schreier-tree orbits
+and point stabilizers and a stabilizer chain for order, membership and
+transitivity degree, and ordered partitions of the point domain.
 
 Points are 1-based throughout and every value is treated as immutable once
 constructed. Composition follows the right-action convention: the image of
@@ -65,13 +66,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(i == p for i, p in enumerate(self.images, start=1))
-
-    def min_moved(self) -> int | None:
-        """Smallest moved point, or None for the identity."""
-        for i, p in enumerate(self.images, start=1):
-            if i != p:
-                return i
-        return None
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its minimum, ordered by start."""
@@ -182,10 +176,6 @@ class OrderedPartition:
     def unit(cls, degree: int) -> "OrderedPartition":
         return cls(degree, [range(1, degree + 1)])
 
-    @classmethod
-    def discrete(cls, degree: int) -> "OrderedPartition":
-        return cls(degree, [[p] for p in range(1, degree + 1)])
-
     def cell_index(self) -> dict[int, int]:
         """Map each point to the position of its cell."""
         idx: dict[int, int] = {}
@@ -241,76 +231,81 @@ class _ChainLevel:
 
     __slots__ = ("point", "gens", "transversal")
 
-    def __init__(self, point: int, gens=None, transversal=None):
+    def __init__(self, point: int, transversal: dict[int, Permutation]):
         self.point = point
-        self.gens: list[Permutation] = list(gens or [])
-        self.transversal: dict[int, Permutation] = dict(transversal or {})
+        self.gens: list[Permutation] = []
+        self.transversal = transversal
 
 
-def _build_chain(degree, generators, forced_first=None):
-    """Deterministic Schreier-Sims.
+def _schreier_tree(gens, root: int, ident: Permutation) -> dict[int, Permutation]:
+    """Map each point x of root's orbit under gens to a product u of gens
+    with root^u = x, breadth first so that u is a shortest such word.
+    Points appear in discovery order and root maps to ident."""
+    tree = {root: ident}
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        ux = tree[x]
+        for s in gens:
+            y = s.images[x - 1]
+            if y not in tree:
+                tree[y] = ux * s
+                queue.append(y)
+    return tree
 
-    Base points are the minimal point moved by the residue that created each
-    level, so the first base point is the first moved point overall. When
-    forced_first is given, level 0 uses that point even if nothing moves it,
-    which makes the generators attached below level 0 generate its
-    stabilizer.
+
+def _sift(levels: list[_ChainLevel], h: Permutation, start: int = 0):
+    """Divide transversal elements off h from level start down, until h
+    escapes a transversal or has passed every level. Returns the residue
+    and the index of the level it stopped at. A level whose point h fixes
+    is passed without multiplying, since its representative is the
+    identity."""
+    for i in range(start, len(levels)):
+        lvl = levels[i]
+        x = h.images[lvl.point - 1]
+        if x == lvl.point:
+            continue
+        u = lvl.transversal.get(x)
+        if u is None:
+            return h, i
+        h = h * u.inverse()
+    return h, len(levels)
+
+
+def _build_chain(degree: int, generators) -> list[_ChainLevel]:
+    """Deterministic Schreier-Sims with the fixed base 1, 2, ..., degree.
+
+    Level i has base point i + 1, and its transversal is the orbit of that
+    point under the pointwise stabilizer of 1..i. Every level exists from
+    the start, a level nothing moves keeps the one-point transversal, and
+    all levels share one identity object, so a group with many fixed
+    points costs a small dict per level. A residue that passes every level
+    fixes every point and is the identity.
     """
     ident = Permutation.identity(degree)
-    levels: list[_ChainLevel] = []
-    if forced_first is not None:
-        levels.append(_ChainLevel(forced_first, [], {forced_first: ident}))
+    levels = [_ChainLevel(p, {p: ident}) for p in range(1, degree + 1)]
 
     def level_gens(i):
         return [g for lvl in levels[i:] for g in lvl.gens]
 
-    def rebuild(i):
-        lvl = levels[i]
-        gens = level_gens(i)
-        trans = {lvl.point: ident}
-        queue = deque([lvl.point])
-        while queue:
-            x = queue.popleft()
-            ux = trans[x]
-            for s in gens:
-                y = s.images[x - 1]
-                if y not in trans:
-                    trans[y] = ux * s
-                    queue.append(y)
-        lvl.transversal = trans
-
-    def strip(h, start):
-        # divide off transversal representatives until h escapes or dies
-        i = start
-        while i < len(levels):
-            lvl = levels[i]
-            u = lvl.transversal.get(h.images[lvl.point - 1])
-            if u is None:
-                return h, i
-            h = h * u.inverse()
-            i += 1
-        return h, i
-
     def attach(h, m):
         # h moves levels[m].point outside its current transversal, so each
         # attach strictly grows an orbit; total growth is bounded by degree
-        # squared, which bounds the whole construction
-        if m == len(levels):
-            levels.append(_ChainLevel(h.min_moved()))
+        # squared, which bounds the whole construction. Level j is generated
+        # by what is attached at j and every deeper level, so the
+        # transversals of levels 0..m all regrow with h.
         levels[m].gens.append(h)
         for j in range(m + 1):
-            rebuild(j)
+            levels[j].transversal = _schreier_tree(level_gens(j), levels[j].point, ident)
 
     for g in generators:
-        if g.is_identity():
-            continue
-        h, m = strip(g, 0)
-        if not h.is_identity():
+        h, m = _sift(levels, g)
+        if m < degree:
             attach(h, m)
 
     # Work upward, re-checking a level whenever anything below it changed.
     # A level is done when all of its Schreier generators sift to identity.
-    i = len(levels) - 1
+    i = degree - 1
     while i >= 0:
         lvl = levels[i]
         gens_i = level_gens(i)
@@ -318,10 +313,11 @@ def _build_chain(degree, generators, forced_first=None):
         for beta in sorted(lvl.transversal):
             u = lvl.transversal[beta]
             for s in gens_i:
-                gamma = s.images[beta - 1]
-                schreier = (u * s) * lvl.transversal[gamma].inverse()
-                h, m = strip(schreier, i + 1)
-                if not h.is_identity():
+                us, ug = u * s, lvl.transversal[s.images[beta - 1]]
+                if us == ug:
+                    continue  # trivial Schreier generator, as on every tree edge
+                h, m = _sift(levels, us * ug.inverse(), i + 1)
+                if m < degree:
                     attach(h, m)
                     attached_at = m
                     break
@@ -334,9 +330,11 @@ def _build_chain(degree, generators, forced_first=None):
 class PermGroup:
     """Group generated by permutations of {1..degree}.
 
-    The stabilizer chain is built lazily on first use and then reused; the
-    build is lock-guarded so a first use from several threads constructs it
-    exactly once. Everything else is immutable.
+    Orbits and point stabilizers come straight from the generators. The
+    stabilizer chain, with base 1..degree, serves order, membership and
+    transitivity degree; it is built lazily on first use and then reused,
+    and the build is lock-guarded so a first use from several threads
+    constructs it exactly once. Everything else is immutable.
     """
 
     def __init__(self, degree: int, generators=()):
@@ -356,10 +354,6 @@ class PermGroup:
         self._chain: list[_ChainLevel] | None = None
         self._stabilizers: dict[int, "PermGroup"] = {}
         self._orbit_partition: OrderedPartition | None = None
-
-    @classmethod
-    def trivial(cls, degree: int) -> "PermGroup":
-        return cls(degree)
 
     @classmethod
     def symmetric(cls, degree: int) -> "PermGroup":
@@ -387,13 +381,7 @@ class PermGroup:
     def __contains__(self, perm: Permutation) -> bool:
         if not isinstance(perm, Permutation) or perm.degree != self.degree:
             return False
-        h = perm
-        for lvl in self.chain:
-            u = lvl.transversal.get(h.images[lvl.point - 1])
-            if u is None:
-                return False
-            h = h * u.inverse()
-        return h.is_identity()
+        return _sift(self.chain, perm)[1] == self.degree
 
     def orbit(self, point: int) -> tuple[int, ...]:
         """Sorted orbit of a point, by breadth-first closure under the
@@ -432,32 +420,39 @@ class PermGroup:
         return len(self.orbit(1)) == self.degree
 
     def point_stabilizer(self, point: int) -> "PermGroup":
-        """Subgroup fixing a point, from a chain based at that point."""
+        """Subgroup fixing a point, generated by Schreier's lemma: with u_x
+        the Schreier-tree element sending point to x, the products
+        u_x * s * u_{x^s}^-1 over orbit points x and generators s generate
+        the stabilizer. Identities and repeats are dropped and the rest
+        kept in tree order, so the generators are deterministic. No
+        stabilizer chain is built."""
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")
         cached = self._stabilizers.get(point)
         if cached is not None:
             return cached
-        levels = _build_chain(self.degree, self.generators, forced_first=point)
-        gens = [g for lvl in levels[1:] for g in lvl.gens]
+        tree = _schreier_tree(self.generators, point, Permutation.identity(self.degree))
+        gens: dict[Permutation, None] = {}
+        for x, ux in tree.items():
+            for s in self.generators:
+                us, uy = ux * s, tree[s.images[x - 1]]
+                if us != uy:
+                    gens.setdefault(us * uy.inverse())
         stab = PermGroup(self.degree, gens)
         self._stabilizers.setdefault(point, stab)
         return self._stabilizers[point]
 
     def transitivity_degree(self) -> int:
         """Largest k with the group k-transitive on its domain, 0 when it is
-        not even transitive. Computed by repeatedly descending to a point
-        stabilizer acting on the remaining points."""
+        not even transitive. The group is k-transitive exactly when, for
+        each i < k, the pointwise stabilizer of 1..i is transitive on
+        i+1..degree, that is when chain level i has a basic orbit of
+        degree - i points; so this counts those leading levels."""
         k = 0
-        current: PermGroup = self
-        remaining = tuple(range(1, self.degree + 1))
-        while remaining:
-            alpha = remaining[0]
-            if current.orbit(alpha) != remaining:
+        for i, lvl in enumerate(self.chain):
+            if len(lvl.transversal) != self.degree - i:
                 break
             k += 1
-            current = current.point_stabilizer(alpha)
-            remaining = remaining[1:]
         return k
 
     def __repr__(self) -> str:
@@ -466,6 +461,10 @@ class PermGroup:
 
 
 _DEGREE_RE = re.compile(r"degree:\s*(\d+)")
+
+# Largest degree a group or graph description may declare. Checked before
+# anything of that size is allocated, so a bad header cannot exhaust memory.
+MAX_DEGREE = 10_000
 
 
 def parse_group_text(text: str) -> PermGroup:
@@ -487,8 +486,8 @@ def parse_group_text(text: str) -> PermGroup:
                     f"line {lineno}: expected 'degree: n' header, got {line!r}"
                 )
             degree = int(m.group(1))
-            if degree < 1:
-                raise ValueError(f"line {lineno}: degree must be at least 1")
+            if not 1 <= degree <= MAX_DEGREE:
+                raise ValueError(f"line {lineno}: degree must be in 1..{MAX_DEGREE}")
             continue
         try:
             gens.append(parse_cycles(line, degree))

@@ -1,4 +1,5 @@
-"""Brute-force reference computations and hypothesis strategies.
+"""Brute-force reference computations, groups of known order built from
+formulas, and hypothesis strategies.
 
 The brute functions enumerate group elements outright, so they stay
 independent of the stabilizer-chain machinery they are used to check.
@@ -13,6 +14,57 @@ from orbgraph.perm import PermGroup, Permutation, parse_cycles, partition_stabil
 
 def group_from(degree, *cycles) -> PermGroup:
     return PermGroup(degree, [parse_cycles(c, degree) for c in cycles])
+
+
+def group_from_maps(degree, *maps) -> PermGroup:
+    """Group generated by point maps, each a function on 1..degree."""
+    return PermGroup(
+        degree, [Permutation([f(x) for x in range(1, degree + 1)]) for f in maps]
+    )
+
+
+def symmetric_group(n) -> PermGroup:
+    """S_n from the transposition (1,2) and the n-cycle (1,2,...,n)."""
+    return group_from_maps(n, lambda x: {1: 2, 2: 1}.get(x, x), lambda x: x % n + 1)
+
+
+def alternating_group(n) -> PermGroup:
+    """A_n for odd n >= 3 from (1,2,3) and the n-cycle, which is even."""
+    assert n % 2 == 1 and n >= 3
+    return group_from_maps(n, lambda x: {1: 2, 2: 3, 3: 1}.get(x, x), lambda x: x % n + 1)
+
+
+def dihedral_group(n) -> PermGroup:
+    """Symmetries of the n-gon with vertices 1..n: a rotation and a
+    reflection."""
+    return group_from_maps(n, lambda x: x % n + 1, lambda x: n + 1 - x)
+
+
+def pgl2_group(p, a) -> PermGroup:
+    """PGL(2,p) on the projective line, point k+1 standing for k in GF(p)
+    and point p+1 for infinity, from x -> x+1, x -> a*x (a a primitive root
+    mod p) and x -> -1/x."""
+    inf = p
+
+    def on_line(f):
+        return lambda x: f(x - 1) + 1
+
+    translate = on_line(lambda k: k if k == inf else (k + 1) % p)
+    scale = on_line(lambda k: k if k == inf else a * k % p)
+    invert = on_line(lambda k: 0 if k == inf else inf if k == 0 else -pow(k, -1, p) % p)
+    return group_from_maps(p + 1, translate, scale, invert)
+
+
+def wreath_s4_s4() -> PermGroup:
+    """S_4 wr S_4 on 16 points in blocks {1..4}, {5..8}, {9..12}, {13..16}:
+    S_4 on the first block, and S_4 permuting whole blocks."""
+    return group_from_maps(
+        16,
+        lambda x: {1: 2, 2: 1}.get(x, x),
+        lambda x: x % 4 + 1 if x <= 4 else x,
+        lambda x: x + 4 if x <= 4 else x - 4 if x <= 8 else x,
+        lambda x: (x + 3) % 16 + 1,
+    )
 
 
 def all_elements(group) -> set[Permutation]:

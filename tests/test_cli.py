@@ -182,6 +182,20 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
 
+    def test_degree_above_cap_is_input_error(self, capsys):
+        assert run(["orbits", "degree: 1000000000\n(1,2)\n"]) == 2
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        # with no orbit-stabilizer generators the structural test finds no
+        # witness for a graph it classified non-futile
+        monkeypatch.setattr(
+            "orbgraph.futility.partition_stabilizer_generators", lambda partition: []
+        )
+        code = run(["futility", "degree: 4\n(1,2,3,4)", "--method", "all", "--json"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+
 
 def test_module_entry_point(tmp_path):
     path = tmp_path / "g.grp"

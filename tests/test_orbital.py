@@ -14,7 +14,6 @@ from orbgraph.orbital import (
     enumerate_base_pairs,
     graph_from_json,
     graph_to_json,
-    graphs_equal,
     is_self_paired,
     isolated_vertices,
     to_dot,
@@ -158,7 +157,7 @@ class TestEnumerateBasePairs:
         assert enumerate_base_pairs(PermGroup.symmetric(5)) == [(1, 2)]
 
     def test_trivial_group_has_all_pairs(self):
-        assert enumerate_base_pairs(PermGroup.trivial(3)) == [
+        assert enumerate_base_pairs(PermGroup(3)) == [
             (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2),
         ]
 
@@ -198,24 +197,6 @@ class TestEnumerateBasePairs:
         assert enumerated == everything
 
 
-class TestGraphsEqual:
-    def test_same_arcs_different_base_pair(self, two_swaps):
-        g1 = build_orbital_graph(two_swaps, 1, 3)
-        g2 = build_orbital_graph(two_swaps, 1, 2)
-        assert graphs_equal(g1, g2)
-
-    def test_different_arcs(self, two_swaps):
-        g1 = build_orbital_graph(two_swaps, 1, 3)
-        g2 = build_orbital_graph(two_swaps, 1, 7)
-        assert not graphs_equal(g1, g2)
-
-    def test_degree_mismatch_is_an_error(self, two_swaps, two_triangles):
-        g1 = build_orbital_graph(two_swaps, 1, 3)
-        g2 = build_orbital_graph(two_triangles, 1, 2)
-        with pytest.raises(ValueError):
-            graphs_equal(g1, g2)
-
-
 class TestEmission:
     def test_dot_format(self, two_swaps):
         g = build_orbital_graph(two_swaps, 3, 4)
@@ -247,3 +228,26 @@ class TestEmission:
         assert back.arcs == g.arcs
         assert back.base_pair == g.base_pair
         assert back.out_adj == g.out_adj
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not json",
+            "{}",
+            "[1]",
+            '{"degree": 3, "arcs": []}',
+            '{"degree": 3, "base_pair": 5, "arcs": []}',
+            '{"degree": 3, "base_pair": [1, 9], "arcs": [[1, 2]]}',
+            '{"degree": 3, "base_pair": [1, 2], "arcs": [["a", 2]]}',
+            '{"degree": 3, "base_pair": [1, 2], "arcs": [[1.5, 2]]}',
+            '{"degree": 3, "base_pair": [1, 2], "arcs": [[1, 2, 3]]}',
+            '{"degree": 3, "base_pair": [1, 2], "arcs": [[2, 2]]}',
+            '{"degree": 3, "base_pair": [1, 2], "arcs": 7}',
+            '{"degree": "3", "base_pair": [1, 2], "arcs": []}',
+            '{"degree": true, "base_pair": [1, 2], "arcs": []}',
+            '{"degree": 1000000000, "base_pair": [1, 2], "arcs": []}',
+        ],
+    )
+    def test_malformed_json_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            graph_from_json(text)

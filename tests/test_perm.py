@@ -1,12 +1,14 @@
 """Permutation arithmetic, parsing, orbits, stabilizer chains, partitions."""
 
 from concurrent.futures import ThreadPoolExecutor
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from orbgraph.perm import (
+    MAX_DEGREE,
     OrderedPartition,
     PermGroup,
     Permutation,
@@ -17,12 +19,17 @@ from orbgraph.perm import (
 
 from support import (
     all_elements,
+    alternating_group,
     brute_orbit,
     brute_stabilizer,
     brute_transitivity_degree,
+    dihedral_group,
     group_from,
     groups_st,
     permutations_st,
+    pgl2_group,
+    symmetric_group,
+    wreath_s4_s4,
 )
 
 
@@ -137,7 +144,7 @@ class TestStabilizerChain:
         assert square_symmetries.order() == 8
         assert diagonal_triangles.order() == 6
         assert two_triangles.order() == 216
-        assert PermGroup.trivial(5).order() == 1
+        assert PermGroup(5).order() == 1
         assert PermGroup.symmetric(6).order() == 720
 
     def test_order_matches_brute_count(self, square_symmetries, diagonal_triangles):
@@ -216,6 +223,41 @@ class TestTransitivityDegree:
         assert checked > 0
 
 
+class TestKnownFamilies:
+    """Exact order and transitivity degree of groups built from formulas,
+    far beyond the degrees where elements can be enumerated."""
+
+    @pytest.mark.parametrize("n", range(2, 25))
+    def test_symmetric(self, n):
+        group = symmetric_group(n)
+        assert group.order() == factorial(n)
+        assert group.transitivity_degree() == n
+
+    @pytest.mark.parametrize("n", range(3, 18, 2))
+    def test_alternating(self, n):
+        group = alternating_group(n)
+        assert group.order() == factorial(n) // 2
+        assert group.transitivity_degree() == n - 2
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 23, 31])
+    def test_pgl2_is_sharply_three_transitive(self, p):
+        a = next(a for a in range(2, p) if len({pow(a, k, p) for k in range(p - 1)}) == p - 1)
+        group = pgl2_group(p, a)
+        assert group.order() == p * (p * p - 1)
+        assert group.transitivity_degree() == 3
+
+    def test_dihedral(self):
+        for n in range(3, 65):
+            group = dihedral_group(n)
+            assert group.order() == 2 * n
+            assert group.transitivity_degree() == (3 if n == 3 else 1)
+
+    def test_wreath_product(self):
+        group = wreath_s4_s4()
+        assert group.order() == 24**4 * 24
+        assert group.transitivity_degree() == 1
+
+
 class TestOrderedPartition:
     def test_cells_sorted_and_order_preserved(self):
         part = OrderedPartition(5, [[3, 2], [1], [5, 4]])
@@ -253,7 +295,7 @@ class TestPartitionStabilizerGenerators:
         assert PermGroup(9, gens).order() == 720 * 6
 
     def test_singleton_cells_contribute_nothing(self):
-        part = OrderedPartition.discrete(5)
+        part = OrderedPartition(5, [[p] for p in range(1, 6)])
         assert partition_stabilizer_generators(part) == []
 
 
@@ -275,6 +317,16 @@ class TestGroupText:
 
     def test_no_permutation_lines_is_trivial_group(self):
         assert parse_group_text("degree: 3\n").order() == 1
+
+    @pytest.mark.parametrize(
+        "text", ["degree: 0\n", f"degree: {MAX_DEGREE + 1}\n", "degree: 1000000000\n(1,2)\n"]
+    )
+    def test_degree_outside_bounds(self, text):
+        with pytest.raises(ValueError, match="degree must be in"):
+            parse_group_text(text)
+
+    def test_max_degree_is_accepted(self):
+        assert parse_group_text(f"degree: {MAX_DEGREE}\n").degree == MAX_DEGREE
 
 
 @given(groups_st(max_degree=6))
