@@ -10,7 +10,6 @@ from .futility import (
     FutilityVerdict,
     arc_count_bounds,
     find_arc_violation,
-    futility_by_stabilizer_transitivity,
     is_futile_fast,
     is_futile_oracle,
     is_futile_structural,

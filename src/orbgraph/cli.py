@@ -24,7 +24,7 @@ from .orbital import (
     to_dot,
     weak_components,
 )
-from .perm import OrderedPartition, PermGroup, parse_group_text
+from .perm import OrderedPartition, PermGroup, load_group, parse_group_text
 from .refine import refine_by_graph, trace_record
 
 
@@ -50,11 +50,9 @@ def _load_group(arg: str) -> PermGroup:
     if "\n" in arg or arg.lstrip().startswith("degree:"):
         return parse_group_text(arg)
     try:
-        with open(arg, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        return load_group(arg)
     except OSError as exc:
         raise ValueError(f"cannot read group file {arg!r}: {exc}") from None
-    return parse_group_text(text)
 
 
 def _component_sizes(graph) -> str:
@@ -99,9 +97,11 @@ def _cmd_base_pairs(args) -> int:
     return 0
 
 
-def _futility_records(group, alpha, beta, methods):
+def _futility_records(group, alpha, beta, methods, table):
+    # the table's paired and components columns read the graph, so only a
+    # fast-only JSON run goes without it
     graph = None
-    if any(m != "fast" for m in methods):
+    if table or any(m != "fast" for m in methods):
         graph = build_orbital_graph(group, alpha, beta)
     return [verdict_record(group, alpha, beta, m, graph) for m in methods], graph
 
@@ -118,7 +118,7 @@ def _cmd_futility(args) -> int:
     all_records = []
     rows = []
     for alpha, beta in pairs:
-        records, graph = _futility_records(group, alpha, beta, methods)
+        records, graph = _futility_records(group, alpha, beta, methods, not args.json)
         verdicts = {r["futile"] for r in records}
         if len(verdicts) > 1:
             detail = ", ".join(f"{r['method']}={r['futile']}" for r in records)
@@ -141,8 +141,6 @@ def _cmd_futility(args) -> int:
     print("orbit partition " + str(group.orbit_partition()))
     if args.pair is not None:
         (alpha, beta), records, graph = rows[0]
-        if graph is None:
-            graph = build_orbital_graph(group, alpha, beta)
         paired = "yes" if is_self_paired(graph) else "no"
         extra = f", self-paired {paired}, components {_component_sizes(graph)}"
         print(f"pair ({alpha},{beta}): {records[0]['arc_count']} arcs{extra}")
@@ -160,8 +158,6 @@ def _cmd_futility(args) -> int:
         )
         for (alpha, beta), records, graph in rows:
             r = records[0]
-            if graph is None:
-                graph = build_orbital_graph(group, alpha, beta)
             paired = "yes" if is_self_paired(graph) else "no"
             verdict = "yes" if r["futile"] else "no"
             print(

@@ -123,15 +123,6 @@ def is_futile_oracle(graph: OrbitalGraph, group: PermGroup) -> bool:
     return find_arc_violation(graph, gens) is None
 
 
-def futility_by_stabilizer_transitivity(group: PermGroup, alpha: int, beta: int) -> bool:
-    """For beta outside alpha's orbit: the graph is futile exactly when
-    alpha's stabilizer is transitive on beta's orbit."""
-    check_base_pair(group.degree, alpha, beta)
-    if beta in group.orbit(alpha):
-        raise ValueError("beta lies in the orbit of alpha")
-    return group.point_stabilizer(alpha).orbit(beta) == group.orbit(beta)
-
-
 @dataclass(frozen=True)
 class ArcCountBounds:
     threshold: int
@@ -169,7 +160,8 @@ def verdict_record(group, alpha, beta, method, graph=None) -> dict:
     Shapes for the fast and oracle methods come from the case split: a
     futile pair with beta in alpha's orbit (equivalently a self-paired
     futile graph) is the complete case, any other futile pair the bipartite
-    one. The oracle reports the same witness search as the structural test.
+    one. The oracle's verdict and witness come from one witness search,
+    the same one the structural test reports.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -190,14 +182,14 @@ def verdict_record(group, alpha, beta, method, graph=None) -> dict:
             v = is_futile_structural(graph, group)
             futile, shape, witness = v.futile, v.shape, v.witness
         else:
-            futile = is_futile_oracle(graph, group)
+            witness = find_arc_violation(
+                graph, partition_stabilizer_generators(group.orbit_partition())
+            )
+            futile = witness is None
             if futile:
                 shape = SHAPE_COMPLETE if is_self_paired(graph) else SHAPE_BIPARTITE
             else:
                 shape = SHAPE_NONE
-                witness = find_arc_violation(
-                    graph, partition_stabilizer_generators(group.orbit_partition())
-                )
     return {
         "base_pair": [alpha, beta],
         "futile": futile,

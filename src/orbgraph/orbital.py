@@ -40,20 +40,16 @@ def check_base_pair(degree: int, alpha: int, beta: int) -> None:
         raise ValueError("base pair points must be distinct")
 
 
-def _graph_from_arcs(degree, base_pair, arc_iterable) -> OrbitalGraph:
-    arcs = tuple(sorted(set(arc_iterable)))
+def _graph_from_arcs(degree, base_pair, arc_set: frozenset) -> OrbitalGraph:
+    # lexicographic order puts every neighbor list in ascending order as it fills
+    arcs = tuple(sorted(arc_set))
     out = [[] for _ in range(degree)]
     inn = [[] for _ in range(degree)]
     for x, y in arcs:
         out[x - 1].append(y)
         inn[y - 1].append(x)
     return OrbitalGraph(
-        degree,
-        base_pair,
-        arcs,
-        tuple(tuple(sorted(v)) for v in out),
-        tuple(tuple(sorted(v)) for v in inn),
-        frozenset(arcs),
+        degree, base_pair, arcs, tuple(map(tuple, out)), tuple(map(tuple, inn)), arc_set
     )
 
 
@@ -71,7 +67,7 @@ def build_orbital_graph(group: PermGroup, alpha: int, beta: int) -> OrbitalGraph
             if pair not in seen:
                 seen.add(pair)
                 queue.append(pair)
-    return _graph_from_arcs(group.degree, (alpha, beta), seen)
+    return _graph_from_arcs(group.degree, (alpha, beta), frozenset(seen))
 
 
 def arc_count_formula(group: PermGroup, alpha: int, beta: int) -> int:
@@ -250,5 +246,5 @@ def graph_from_json(text: str) -> OrbitalGraph:
     return _graph_from_arcs(
         degree,
         _json_pair(data.get("base_pair"), degree),
-        [_json_pair(a, degree) for a in arcs],
+        frozenset(_json_pair(a, degree) for a in arcs),
     )

@@ -103,9 +103,10 @@ class Permutation:
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse disjoint-cycle notation such as "(1,2)(3,4)" or "()".
 
-    Comma-separated points are always accepted. A run of digits with no
-    commas, like "(132)", is read one digit per point, so domains with
-    points above 9 must write commas. Whitespace is ignored and points
+    Comma-separated points are always accepted. A run of two or more
+    digits with no commas, like "(132)", is read one digit per point; it is
+    accepted only for degree at most 9 and raises ValueError above, where
+    "(12)" could also mean point 12. Whitespace is ignored and points
     absent from the text are fixed.
     """
     if degree < 1:
@@ -132,6 +133,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             except ValueError:
                 raise ValueError(f"malformed cycle notation {text!r}") from None
         elif body.isdigit():
+            if len(body) > 1 and degree >= 10:
+                raise ValueError(f"cycle ({body}) needs commas between points at degree {degree}")
             points = [int(ch) for ch in body]
         else:
             raise ValueError(f"malformed cycle notation {text!r}")
@@ -332,9 +335,13 @@ class PermGroup:
 
     Orbits and point stabilizers come straight from the generators. The
     stabilizer chain, with base 1..degree, serves order, membership and
-    transitivity degree; it is built lazily on first use and then reused,
-    and the build is lock-guarded so a first use from several threads
-    constructs it exactly once. Everything else is immutable.
+    transitivity degree. Three things are computed on first use and then
+    cached: the orbit partition with a point-to-orbit table, which every
+    orbit query reads; one stabilizer subgroup per point; and the chain.
+    The lock guards only the chain, so a first use from several threads
+    builds it exactly once. The orbit and stabilizer caches need no lock:
+    their contents are deterministic, so a racing thread at worst repeats
+    the work and stores an equal value. Everything else is immutable.
     """
 
     def __init__(self, degree: int, generators=()):
@@ -354,6 +361,7 @@ class PermGroup:
         self._chain: list[_ChainLevel] | None = None
         self._stabilizers: dict[int, "PermGroup"] = {}
         self._orbit_partition: OrderedPartition | None = None
+        self._orbit_of: list[tuple[int, ...]] = []
 
     @classmethod
     def symmetric(cls, degree: int) -> "PermGroup":
@@ -384,40 +392,45 @@ class PermGroup:
         return _sift(self.chain, perm)[1] == self.degree
 
     def orbit(self, point: int) -> tuple[int, ...]:
-        """Sorted orbit of a point, by breadth-first closure under the
-        generators. Forward images suffice: a generator maps the finite
-        closure into itself injectively, hence onto itself."""
+        """Sorted orbit of a point: its cell of the orbit partition."""
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")
-        seen = {point}
-        queue = deque([point])
-        images = [g.images for g in self.generators]
-        while queue:
-            x = queue.popleft()
-            for im in images:
-                y = im[x - 1]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return tuple(sorted(seen))
+        self.orbit_partition()
+        return self._orbit_of[point - 1]
 
     def orbit_partition(self) -> OrderedPartition:
-        """Orbits as an ordered partition, cells ascending by minimal point."""
+        """Orbits as an ordered partition, cells ascending by minimal point.
+        Each orbit is one breadth-first closure under the generators.
+        Forward images suffice: a generator maps the finite closure into
+        itself injectively, hence onto itself."""
         if self._orbit_partition is None:
-            visited = [False] * self.degree
+            images = [g.images for g in self.generators]
+            orbit_of: list[tuple[int, ...] | None] = [None] * self.degree
             cells = []
             for p in range(1, self.degree + 1):
-                if visited[p - 1]:
+                if orbit_of[p - 1] is not None:
                     continue
-                cell = self.orbit(p)
+                seen = {p}
+                queue = deque([p])
+                while queue:
+                    x = queue.popleft()
+                    for im in images:
+                        y = im[x - 1]
+                        if y not in seen:
+                            seen.add(y)
+                            queue.append(y)
+                cell = tuple(sorted(seen))
                 for q in cell:
-                    visited[q - 1] = True
+                    orbit_of[q - 1] = cell
                 cells.append(cell)
+            # the table is set first, so a reader that sees the partition
+            # also sees the table
+            self._orbit_of = orbit_of
             self._orbit_partition = OrderedPartition(self.degree, cells)
         return self._orbit_partition
 
     def is_transitive(self) -> bool:
-        return len(self.orbit(1)) == self.degree
+        return len(self.orbit_partition().cells) == 1
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         """Subgroup fixing a point, generated by Schreier's lemma: with u_x

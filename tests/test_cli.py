@@ -3,11 +3,16 @@
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 
 import pytest
 
 from orbgraph.cli import run
-from orbgraph.orbital import build_orbital_graph, graph_from_json
+from orbgraph.orbital import build_orbital_graph, enumerate_base_pairs, graph_from_json
+from orbgraph.perm import parse_cycles, parse_group_text
+
+from test_golden import cases
 
 TWO_SWAPS = "degree: 7\n(2,3)\n(4,6)\n"
 TWO_TRIANGLES = "degree: 9\n(1,2)\n(1,3)\n(4,5)\n(4,6)\n(1,4)(2,5)(3,6)\n(7,8,9)\n"
@@ -127,6 +132,41 @@ class TestFutility:
         assert "(1,2)" in out and "(7,5)" in out
 
 
+# the worked examples and the first 20 corpus groups of the golden test
+FAST_CASES = list(cases().items())[:24]
+
+
+def _stdout(argv) -> str:
+    out = StringIO()
+    with redirect_stdout(out):
+        assert run(argv) == 0
+    return out.getvalue()
+
+
+class TestFastOnly:
+    @pytest.mark.parametrize("name,text", FAST_CASES)
+    def test_table_matches_all_methods(self, name, text):
+        # the table shows records[0], which is the fast record in both runs
+        assert _stdout(["futility", text, "--method", "fast"]) == _stdout(["futility", text])
+
+    @pytest.mark.parametrize("name,text", FAST_CASES)
+    def test_pair_header_matches_all_methods(self, name, text):
+        a, b = enumerate_base_pairs(parse_group_text(text))[0]
+        argv = ["futility", text, "--pair", f"{a},{b}", "--method"]
+        fast = _stdout(argv + ["fast"]).splitlines()
+        assert fast[:4] == _stdout(argv + ["all"]).splitlines()[:4]
+
+    def test_fast_json_builds_no_graph(self, capsys, monkeypatch):
+        def no_graph(*args):
+            raise AssertionError("orbital graph built on the fast JSON path")
+
+        monkeypatch.setattr("orbgraph.cli.build_orbital_graph", no_graph)
+        monkeypatch.setattr("orbgraph.futility.build_orbital_graph", no_graph)
+        assert run(["futility", TWO_TRIANGLES, "--method", "fast", "--json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert records and all(r["method"] == "fast" for r in records)
+
+
 class TestRefine:
     def test_orbit_partition_default(self, capsys, two_triangles_file):
         assert run(["refine", two_triangles_file, "--pair", "1,2"]) == 0
@@ -184,6 +224,12 @@ class TestExitCodes:
 
     def test_degree_above_cap_is_input_error(self, capsys):
         assert run(["orbits", "degree: 1000000000\n(1,2)\n"]) == 2
+
+    @pytest.mark.parametrize("degree", [10, 12])
+    def test_digit_run_at_degree_10_and_above_is_input_error(self, capsys, degree):
+        with pytest.raises(ValueError, match="commas"):
+            parse_cycles("(132)", degree)
+        assert run(["orbits", f"degree: {degree}\n(132)"]) == 2
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         # with no orbit-stabilizer generators the structural test finds no

@@ -9,7 +9,6 @@ from orbgraph.futility import (
     SHAPE_NONE,
     arc_count_bounds,
     find_arc_violation,
-    futility_by_stabilizer_transitivity,
     is_futile_fast,
     is_futile_oracle,
     is_futile_structural,
@@ -132,25 +131,14 @@ class TestOracle:
 
 
 class TestStabilizerTransitivity:
+    # across orbits, futile exactly when alpha's stabilizer is transitive
+    # on beta's orbit, which is the fast test's cross-orbit branch
     def test_cross_orbit_examples(self, two_swaps, diagonal_triangles):
-        assert futility_by_stabilizer_transitivity(two_swaps, 1, 3)
-        assert not futility_by_stabilizer_transitivity(diagonal_triangles, 1, 4)
+        assert is_futile_fast(two_swaps, 1, 3)
+        assert not is_futile_fast(diagonal_triangles, 1, 4)
 
     def test_fixed_points_pair(self, two_swaps):
-        assert futility_by_stabilizer_transitivity(two_swaps, 1, 7)
-
-    def test_requires_beta_outside_alpha_orbit(self, two_triangles):
-        with pytest.raises(ValueError, match="orbit"):
-            futility_by_stabilizer_transitivity(two_triangles, 1, 2)
-
-    def test_agrees_with_fast_test_across_orbits(self, corpus_sample):
-        for group in corpus_sample:
-            for alpha, beta in base_pairs_of(group):
-                if beta in group.orbit(alpha):
-                    continue
-                assert futility_by_stabilizer_transitivity(
-                    group, alpha, beta
-                ) == is_futile_fast(group, alpha, beta)
+        assert is_futile_fast(two_swaps, 1, 7)
 
 
 class TestArcCountBounds:
