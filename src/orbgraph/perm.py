@@ -276,57 +276,53 @@ def _sift(levels: list[_ChainLevel], h: Permutation, start: int = 0):
 
 
 def _build_chain(degree: int, generators) -> list[_ChainLevel]:
-    """Deterministic Schreier-Sims with the fixed base 1, 2, ..., degree.
+    """Deterministic incremental Schreier-Sims (Knuth, 1991) with the fixed
+    base 1, 2, ..., degree.
 
-    Level i has base point i + 1, and its transversal is the orbit of that
-    point under the pointwise stabilizer of 1..i. Every level exists from
-    the start, a level nothing moves keeps the one-point transversal, and
-    all levels share one identity object, so a group with many fixed
-    points costs a small dict per level. A residue that passes every level
-    fixes every point and is the identity.
+    Level i has base point i + 1. Every level exists from the start, a
+    level nothing moves keeps the one-point transversal, and all levels
+    share one identity object, so a group with many fixed points costs a
+    small dict per level. Transversals grow in place and an entry, once
+    stored, never changes, so a sift that passed stays valid.
+
+    Each product u * s of a level's transversal element and generator is
+    pushed on one LIFO worklist once, when the later of u and s arrives.
+    Popped, it becomes the representative of a new orbit point, or is a
+    trivial Schreier generator, or its Schreier generator is sifted from
+    level i + 1. A residue that escapes goes to level i + 1, not to the
+    level where it stopped: it fixes 1..i + 1, and keeping each level's
+    group generated by its own gens is what lets a level close over those
+    gens alone. The loop ends because level 0 gets only the input
+    generators and level i pops at most len(gens) * len(transversal)
+    products, each giving level i + 1 at most one generator. Once it
+    ends every Schreier generator has sifted through, so level i's
+    transversal is the orbit of i + 1 under the pointwise stabilizer of
+    1..i. A residue that passes every level fixes every point and is the
+    identity.
     """
     ident = Permutation.identity(degree)
     levels = [_ChainLevel(p, {p: ident}) for p in range(1, degree + 1)]
+    stack: list[tuple[int, Permutation]] = []
 
-    def level_gens(i):
-        return [g for lvl in levels[i:] for g in lvl.gens]
-
-    def attach(h, m):
-        # h moves levels[m].point outside its current transversal, so each
-        # attach strictly grows an orbit; total growth is bounded by degree
-        # squared, which bounds the whole construction. Level j is generated
-        # by what is attached at j and every deeper level, so the
-        # transversals of levels 0..m all regrow with h.
-        levels[m].gens.append(h)
-        for j in range(m + 1):
-            levels[j].transversal = _schreier_tree(level_gens(j), levels[j].point, ident)
+    def add(i, h):
+        levels[i].gens.append(h)
+        stack.extend((i, u * h) for u in levels[i].transversal.values())
 
     for g in generators:
-        h, m = _sift(levels, g)
-        if m < degree:
-            attach(h, m)
-
-    # Work upward, re-checking a level whenever anything below it changed.
-    # A level is done when all of its Schreier generators sift to identity.
-    i = degree - 1
-    while i >= 0:
-        lvl = levels[i]
-        gens_i = level_gens(i)
-        attached_at = None
-        for beta in sorted(lvl.transversal):
-            u = lvl.transversal[beta]
-            for s in gens_i:
-                us, ug = u * s, lvl.transversal[s.images[beta - 1]]
-                if us == ug:
-                    continue  # trivial Schreier generator, as on every tree edge
-                h, m = _sift(levels, us * ug.inverse(), i + 1)
+        if _sift(levels, g)[1] < degree:
+            add(0, g)
+        while stack:
+            i, w = stack.pop()
+            lvl = levels[i]
+            x = w.images[lvl.point - 1]
+            u = lvl.transversal.get(x)
+            if u is None:
+                lvl.transversal[x] = w
+                stack.extend((i, w * s) for s in lvl.gens)
+            elif u != w:  # else a trivial Schreier generator, as on every tree edge
+                h, m = _sift(levels, w * u.inverse(), i + 1)
                 if m < degree:
-                    attach(h, m)
-                    attached_at = m
-                    break
-            if attached_at is not None:
-                break
-        i = i - 1 if attached_at is None else attached_at
+                    add(i + 1, h)
     return levels
 
 
@@ -483,14 +479,15 @@ MAX_DEGREE = 10_000
 def parse_group_text(text: str) -> PermGroup:
     """Parse the shared group description format.
 
-    The first significant line is `degree: n`; every following non-empty
-    line not starting with `#` is one permutation in cycle notation.
+    `#` starts a comment that runs to the end of its line. The first line
+    that is not blank once comments are dropped is `degree: n`; every
+    following such line is one permutation in cycle notation.
     """
     degree = None
     gens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
             continue
         if degree is None:
             m = _DEGREE_RE.fullmatch(line)

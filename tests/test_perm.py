@@ -1,5 +1,6 @@
 """Permutation arithmetic, parsing, orbits, stabilizer chains, partitions."""
 
+import random
 from concurrent.futures import ThreadPoolExecutor
 from math import factorial
 
@@ -25,12 +26,30 @@ from support import (
     brute_transitivity_degree,
     dihedral_group,
     group_from,
+    group_from_maps,
     groups_st,
     permutations_st,
     pgl2_group,
     symmetric_group,
     wreath_s4_s4,
 )
+
+
+def pgl2(p):
+    """PGL(2,p) scaled by the least primitive root mod p."""
+    a = next(a for a in range(2, p) if len({pow(a, k, p) for k in range(p - 1)}) == p - 1)
+    return pgl2_group(p, a)
+
+
+# one group of each formula-built family, beyond the degrees of the
+# brute-force cross-checks
+FAMILIES = {
+    "S_12": lambda: symmetric_group(12),
+    "A_13": lambda: alternating_group(13),
+    "D_20": lambda: dihedral_group(20),
+    "PGL(2,13)": lambda: pgl2(13),
+    "S_4 wr S_4": wreath_s4_s4,
+}
 
 
 class TestParseCycles:
@@ -188,6 +207,33 @@ class TestStabilizerChain:
         assert parse_cycles("(1,2)", 4) not in square_symmetries
         assert parse_cycles("(1,2)", 5) not in square_symmetries
 
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_product_of_generators_is_member(self, name):
+        group = FAMILIES[name]()
+        rng = random.Random(20261018)
+        word = Permutation.identity(group.degree)
+        for _ in range(20):
+            word = word * rng.choice(group.generators)
+        assert word in group
+
+    @pytest.mark.parametrize(
+        "name, cycle",
+        [
+            # an odd permutation
+            ("A_13", "(1,2)"),
+            # fixes vertex 3 but sends the edge {2,3} to the non-edge {1,3}
+            ("D_20", "(1,2)"),
+            # fixes 1, 2 and 3, which only the identity does in a sharply
+            # 3-transitive group
+            ("PGL(2,13)", "(4,5)"),
+            # sends 1 to the block {5..8} but keeps 2 in the block {1..4}
+            ("S_4 wr S_4", "(1,5)"),
+        ],
+    )
+    def test_non_member(self, name, cycle):
+        group = FAMILIES[name]()
+        assert parse_cycles(cycle, group.degree) not in group
+
     def test_chain_built_once_under_concurrent_first_use(self):
         group = group_from(8, "(1,2,3,4,5,6,7,8)", "(1,2)")
         with ThreadPoolExecutor(8) as pool:
@@ -199,6 +245,41 @@ class TestStabilizerChain:
         group = PermGroup(4, [])
         assert group.order() == 1
         assert len(group.generators) == 1
+
+
+def check_chain(group):
+    """The invariants of a stabilizer chain with base 1..n, checked level
+    by level against the permutations it stores."""
+    ident = group.chain[0].transversal[1]
+    product = 1
+    for i, lvl in enumerate(group.chain):
+        assert lvl.point == i + 1
+        assert lvl.transversal[i + 1] is ident
+        for x, u in lvl.transversal.items():
+            assert u.images[i] == x
+            assert u.images[:i] == ident.images[:i]
+        for g in lvl.gens:
+            assert g.images[:i] == ident.images[:i]
+        product *= len(lvl.transversal)
+    assert group.order() == product
+
+
+class TestChainInvariants:
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_known_families(self, name):
+        check_chain(FAMILIES[name]())
+
+    def test_corpus(self, corpus_sample):
+        for group in corpus_sample:
+            check_chain(group)
+
+    def test_long_cycle(self):
+        # one basic orbit of 1200 points, more than Python's recursion limit
+        # lets a recursive construction walk
+        group = group_from_maps(1200, lambda x: x % 1200 + 1)
+        check_chain(group)
+        assert group.order() == 1200
+        assert group.transitivity_degree() == 1
 
 
 class TestTransitivityDegree:
@@ -227,22 +308,21 @@ class TestKnownFamilies:
     """Exact order and transitivity degree of groups built from formulas,
     far beyond the degrees where elements can be enumerated."""
 
-    @pytest.mark.parametrize("n", range(2, 25))
+    @pytest.mark.parametrize("n", range(2, 33))
     def test_symmetric(self, n):
         group = symmetric_group(n)
         assert group.order() == factorial(n)
         assert group.transitivity_degree() == n
 
-    @pytest.mark.parametrize("n", range(3, 18, 2))
+    @pytest.mark.parametrize("n", range(3, 34, 2))
     def test_alternating(self, n):
         group = alternating_group(n)
         assert group.order() == factorial(n) // 2
         assert group.transitivity_degree() == n - 2
 
-    @pytest.mark.parametrize("p", [7, 11, 13, 23, 31])
+    @pytest.mark.parametrize("p", [7, 11, 13, 23, 31, 37, 43, 53, 61])
     def test_pgl2_is_sharply_three_transitive(self, p):
-        a = next(a for a in range(2, p) if len({pow(a, k, p) for k in range(p - 1)}) == p - 1)
-        group = pgl2_group(p, a)
+        group = pgl2(p)
         assert group.order() == p * (p * p - 1)
         assert group.transitivity_degree() == 3
 
@@ -314,6 +394,16 @@ class TestGroupText:
     def test_bad_permutation_line_reports_line_number(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_group_text("degree: 3\n(1,4)\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["degree: 4 # four points\n(1,2)\n", "degree: 4\n(1,2) # swap\n(3,4)#\n"],
+        ids=["after header", "after generator"],
+    )
+    def test_trailing_comment(self, text):
+        group = parse_group_text(text)
+        assert group.degree == 4
+        assert group.generators[0] == parse_cycles("(1,2)", 4)
 
     def test_no_permutation_lines_is_trivial_group(self):
         assert parse_group_text("degree: 3\n").order() == 1
