@@ -24,7 +24,7 @@ from .orbital import (
     to_dot,
     weak_components,
 )
-from .perm import OrderedPartition, PermGroup, load_group, parse_group_text
+from .perm import OrderedPartition, PermGroup, _is_decimal, load_group, parse_group_text
 from .refine import refine_by_graph, trace_record
 
 
@@ -40,10 +40,9 @@ def _pair_arg(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected a,b")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected integers a,b") from None
+    if not all(map(_is_decimal, parts)):
+        raise argparse.ArgumentTypeError("expected integers a,b")
+    return int(parts[0]), int(parts[1])
 
 
 def _load_group(arg: str) -> PermGroup:
@@ -89,9 +88,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_base_pairs(args) -> int:
     group = _load_group(args.group)
-    pairs = enumerate_base_pairs(group)
-    if args.dedup:
-        pairs = distinct_base_pairs(group, pairs)
+    pairs = distinct_base_pairs(group) if args.dedup else enumerate_base_pairs(group)
     for a, b in pairs:
         print(f"{a},{b}")
     return 0

@@ -12,6 +12,7 @@ structure, and from the definition directly.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .orbital import (
@@ -19,7 +20,6 @@ from .orbital import (
     arc_count_formula,
     build_orbital_graph,
     check_base_pair,
-    is_self_paired,
     weak_components,
 )
 from .perm import PermGroup, Permutation, partition_stabilizer_generators
@@ -57,6 +57,21 @@ def find_arc_violation(graph: OrbitalGraph, gens):
             if (im[x - 1], im[y - 1]) not in graph.arc_set:
                 return g, (x, y)
     return None
+
+
+# each group's orbit-partition stabilizer generators, dropped with the group
+_stabilizer_gens = weakref.WeakKeyDictionary()
+
+
+def _witness(graph: OrbitalGraph, group: PermGroup):
+    """find_arc_violation over the group's orbit-partition stabilizer
+    generators, built on its first search; a racing thread at worst builds
+    an equal list."""
+    gens = _stabilizer_gens.get(group)
+    if gens is None:
+        gens = partition_stabilizer_generators(group.orbit_partition())
+        _stabilizer_gens[group] = gens
+    return find_arc_violation(graph, gens)
 
 
 def is_futile_fast(group: PermGroup, alpha: int, beta: int) -> bool:
@@ -100,9 +115,7 @@ def is_futile_structural(graph: OrbitalGraph, group: PermGroup) -> FutilityVerdi
             return FutilityVerdict(True, SHAPE_COMPLETE, comp, None)
         if not (sources & sinks) and len(comp_arcs) == len(sources) * len(sinks):
             return FutilityVerdict(True, SHAPE_BIPARTITE, comp, None)
-    witness = find_arc_violation(
-        graph, partition_stabilizer_generators(group.orbit_partition())
-    )
+    witness = _witness(graph, group)
     if witness is None:
         # the classification above says some stabilizer element breaks the
         # graph, so a generator must; reaching here means a defect
@@ -119,8 +132,7 @@ def is_futile_oracle(graph: OrbitalGraph, group: PermGroup) -> bool:
     checking the stabilizer's generators decides the whole group."""
     if graph.degree != group.degree:
         raise ValueError("graph and group degrees differ")
-    gens = partition_stabilizer_generators(group.orbit_partition())
-    return find_arc_violation(graph, gens) is None
+    return _witness(graph, group) is None
 
 
 @dataclass(frozen=True)
@@ -160,20 +172,16 @@ def verdict_record(group, alpha, beta, method, graph=None) -> dict:
     Shapes for the fast and oracle methods come from the case split: a
     futile pair with beta in alpha's orbit (equivalently a self-paired
     futile graph) is the complete case, any other futile pair the bipartite
-    one. The oracle's verdict and witness come from one witness search,
-    the same one the structural test reports.
+    one. The oracle's verdict and witness come from the same witness search
+    as the structural test's.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     bounds = arc_count_bounds(group, alpha, beta)
-    witness = None
+    witness, shape = None, SHAPE_NONE
     if method == "fast":
         futile = is_futile_fast(group, alpha, beta)
         arc_count = arc_count_formula(group, alpha, beta)
-        if futile:
-            shape = SHAPE_COMPLETE if beta in group.orbit(alpha) else SHAPE_BIPARTITE
-        else:
-            shape = SHAPE_NONE
     else:
         if graph is None:
             graph = build_orbital_graph(group, alpha, beta)
@@ -182,14 +190,10 @@ def verdict_record(group, alpha, beta, method, graph=None) -> dict:
             v = is_futile_structural(graph, group)
             futile, shape, witness = v.futile, v.shape, v.witness
         else:
-            witness = find_arc_violation(
-                graph, partition_stabilizer_generators(group.orbit_partition())
-            )
+            witness = _witness(graph, group)
             futile = witness is None
-            if futile:
-                shape = SHAPE_COMPLETE if is_self_paired(graph) else SHAPE_BIPARTITE
-            else:
-                shape = SHAPE_NONE
+    if futile and method != "structural":
+        shape = SHAPE_COMPLETE if beta in group.orbit(alpha) else SHAPE_BIPARTITE
     return {
         "base_pair": [alpha, beta],
         "futile": futile,

@@ -189,9 +189,10 @@ def enumerate_base_pairs(group: PermGroup) -> list[tuple[int, int]]:
 
 def distinct_base_pairs(group: PermGroup, pairs=None) -> list[tuple[int, int]]:
     """Filter base pairs so each distinct arc set is kept once, keeping the
-    first pair that produces it."""
+    first pair that produces it. With no pairs given this is the
+    enumeration itself, which repeats no arc set, so no graph is built."""
     if pairs is None:
-        pairs = enumerate_base_pairs(group)
+        return enumerate_base_pairs(group)
     seen, keep = set(), []
     for pair in pairs:
         arcs = build_orbital_graph(group, pair[0], pair[1]).arcs

@@ -100,14 +100,20 @@ class Permutation:
         return f"Permutation[{self.degree}] {self.cycle_string()}"
 
 
+def _is_decimal(text: str) -> bool:
+    # int() alone also takes signs, underscores and non-ASCII digits
+    return text.isascii() and text.isdigit()
+
+
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse disjoint-cycle notation such as "(1,2)(3,4)" or "()".
 
     Comma-separated points are always accepted. A run of two or more
     digits with no commas, like "(132)", is read one digit per point; it is
     accepted only for degree at most 9 and raises ValueError above, where
-    "(12)" could also mean point 12. Whitespace is ignored and points
-    absent from the text are fixed.
+    "(12)" could also mean point 12. Points are written in ASCII digits
+    0-9 only. Whitespace is ignored and points absent from the text are
+    fixed.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -127,17 +133,15 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         pos = end + 1
         if not body:
             continue
-        if "," in body:
-            try:
-                points = [int(tok) for tok in body.split(",")]
-            except ValueError:
-                raise ValueError(f"malformed cycle notation {text!r}") from None
-        elif body.isdigit():
-            if len(body) > 1 and degree >= 10:
-                raise ValueError(f"cycle ({body}) needs commas between points at degree {degree}")
+        tokens = body.split(",")
+        if not all(map(_is_decimal, tokens)):
+            raise ValueError(f"malformed cycle notation {text!r}")
+        if len(tokens) > 1:
+            points = list(map(int, tokens))
+        elif len(body) == 1 or degree <= 9:
             points = [int(ch) for ch in body]
         else:
-            raise ValueError(f"malformed cycle notation {text!r}")
+            raise ValueError(f"cycle ({body}) needs commas between points at degree {degree}")
         for p in points:
             if not 1 <= p <= degree:
                 raise ValueError(f"point {p} out of range 1..{degree}")
@@ -469,7 +473,7 @@ class PermGroup:
         return f"PermGroup[{self.degree}] <{gens}>"
 
 
-_DEGREE_RE = re.compile(r"degree:\s*(\d+)")
+_DEGREE_RE = re.compile(r"degree:\s*([0-9]+)")
 
 # Largest degree a group or graph description may declare. Checked before
 # anything of that size is allocated, so a bad header cannot exhaust memory.

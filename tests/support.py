@@ -67,6 +67,25 @@ def wreath_s4_s4() -> PermGroup:
     )
 
 
+def block_preserving_group(rng, degree, ngens, nblocks) -> PermGroup:
+    """ngens random permutations that each map every block of one random
+    system of nblocks blocks onto itself, relabelled by one random
+    permutation of the points. Orbits lie inside blocks, so larger
+    degrees keep many orbits and both futility verdicts."""
+    cuts = [0] + sorted(rng.sample(range(1, degree), nblocks - 1)) + [degree]
+    labels = list(range(1, degree + 1))
+    rng.shuffle(labels)
+    blocks = [labels[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    gens = []
+    for _ in range(ngens):
+        images = [0] * degree
+        for block in blocks:
+            for x, y in zip(block, rng.sample(block, len(block))):
+                images[x - 1] = y
+        gens.append(Permutation(images))
+    return PermGroup(degree, gens)
+
+
 def all_elements(group) -> set[Permutation]:
     """Every element, by closure of the generators under products."""
     ident = Permutation.identity(group.degree)

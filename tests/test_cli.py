@@ -8,6 +8,7 @@ from io import StringIO
 
 import pytest
 
+from orbgraph import futility
 from orbgraph.cli import run
 from orbgraph.orbital import build_orbital_graph, enumerate_base_pairs, graph_from_json
 from orbgraph.perm import parse_cycles, parse_group_text
@@ -90,6 +91,14 @@ class TestBasePairs:
         deduped = capsys.readouterr().out.splitlines()
         assert run(["base-pairs", two_swaps_file]) == 0
         assert deduped == capsys.readouterr().out.splitlines()
+
+    def test_dedup_builds_no_graph(self, capsys, monkeypatch, two_swaps_file):
+        def no_graph(*args):
+            raise AssertionError("orbital graph built for base-pairs --dedup")
+
+        monkeypatch.setattr("orbgraph.orbital.build_orbital_graph", no_graph)
+        assert run(["base-pairs", two_swaps_file, "--dedup"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 22
 
 
 class TestFutility:
@@ -230,6 +239,40 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="commas"):
             parse_cycles("(132)", degree)
         assert run(["orbits", f"degree: {degree}\n(132)"]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "degree: 12\n(1_0,2)",
+            "degree: 12\n(+3,4)",
+            "degree: 12\n(\u0663,4)",
+            "degree: \u0661\u0662\n(1,2)",
+        ],
+        ids=["underscore", "plus", "arabic-indic point", "arabic-indic degree"],
+    )
+    def test_non_ascii_decimal_group_text_is_input_error(self, capsys, text):
+        assert run(["orbits", text]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "pair", ["1_0,2", "+3,4", "\u0663,4"], ids=["underscore", "plus", "arabic-indic"]
+    )
+    def test_non_ascii_decimal_pair_is_usage_error(self, capsys, pair):
+        # rejected by the --pair parser like "a,b", not read as a point
+        assert run(["futility", "degree: 12\n(1,2)", "--pair", pair]) == 1
+        assert capsys.readouterr().out == ""
+
+    def test_verdict_disagreement_exits_3(self, capsys, monkeypatch):
+        real = futility.is_futile_fast
+        monkeypatch.setattr(
+            "orbgraph.futility.is_futile_fast", lambda group, a, b: not real(group, a, b)
+        )
+        assert run(["futility", TWO_TRIANGLES, "--method", "all", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "verdict disagreement for pair (1,2): fast=True, structural=False, oracle=False\n"
+        )
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         # with no orbit-stabilizer generators the structural test finds no

@@ -1,5 +1,7 @@
 """The three futility routes, the counting bounds, and the transitive case."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,10 +17,17 @@ from orbgraph.futility import (
     transitive_group_futility,
     verdict_record,
 )
-from orbgraph.orbital import build_orbital_graph, enumerate_base_pairs
+from orbgraph.orbital import arc_count_formula, build_orbital_graph, enumerate_base_pairs
 from orbgraph.perm import PermGroup, partition_stabilizer_generators
 
-from support import all_elements, base_pairs_of, brute_futile, group_from, groups_st
+from support import (
+    all_elements,
+    base_pairs_of,
+    block_preserving_group,
+    brute_futile,
+    group_from,
+    groups_st,
+)
 
 
 class TestFast:
@@ -246,3 +255,26 @@ def test_oracle_generator_check_equals_full_element_check(group):
     for pair in enumerate_base_pairs(group):
         g = build_orbital_graph(group, *pair)
         assert is_futile_oracle(g, group) == brute_futile(g, group)
+
+
+def test_three_routes_agree_at_larger_degrees():
+    # seeded differential sweep past the brute-force corpus: thousands of
+    # enumerated pairs on block-preserving groups of degree 20-60
+    rng = random.Random(20261018)
+    verdicts, swept = set(), 0
+    for _ in range(30):
+        degree = rng.randint(20, 60)
+        group = block_preserving_group(rng, degree, rng.randint(1, 3), rng.randint(2, 8))
+        pairs = enumerate_base_pairs(group)
+        arc_sets = set()
+        for alpha, beta in pairs:
+            g = build_orbital_graph(group, alpha, beta)
+            fast = is_futile_fast(group, alpha, beta)
+            assert fast == is_futile_structural(g, group).futile == is_futile_oracle(g, group)
+            assert arc_count_formula(group, alpha, beta) == len(g.arcs)
+            arc_sets.add(g.arcs)
+            verdicts.add(fast)
+        # the enumeration emits one pair per distinct graph
+        assert len(arc_sets) == len(pairs)
+        swept += len(pairs)
+    assert verdicts == {True, False} and swept > 1000

@@ -182,6 +182,15 @@ class TestEnumerateBasePairs:
             pairs = enumerate_base_pairs(group)
             assert distinct_base_pairs(group, pairs) == pairs
 
+    def test_no_pairs_means_the_enumeration_without_builds(self, two_swaps, monkeypatch):
+        expected = enumerate_base_pairs(two_swaps)
+
+        def no_graph(*args):
+            raise AssertionError("orbital graph built")
+
+        monkeypatch.setattr("orbgraph.orbital.build_orbital_graph", no_graph)
+        assert distinct_base_pairs(two_swaps) == expected
+
     def test_every_arc_set_is_covered(self, two_swaps):
         n = two_swaps.degree
         everything = {

@@ -87,6 +87,24 @@ class TestParseCycles:
             with pytest.raises(ValueError):
                 parse_cycles(text, 5)
 
+    @pytest.mark.parametrize(
+        "text,degree",
+        [
+            ("(1_0,2)", 12),
+            ("(+3,4)", 5),
+            ("(3,+4)", 5),
+            ("(\u0663,4)", 5),
+            ("(\u0661\u0662)", 3),
+            ("(\uff13,4)", 5),
+        ],
+        ids=[
+            "underscore", "plus", "plus second", "arabic-indic", "arabic-indic compact", "fullwidth"
+        ],
+    )
+    def test_points_are_ascii_decimal_only(self, text, degree):
+        with pytest.raises(ValueError, match="malformed"):
+            parse_cycles(text, degree)
+
 
 class TestPermutationArithmetic:
     def test_apply(self):
@@ -414,6 +432,13 @@ class TestGroupText:
     def test_degree_outside_bounds(self, text):
         with pytest.raises(ValueError, match="degree must be in"):
             parse_group_text(text)
+
+    @pytest.mark.parametrize(
+        "digits", ["\u0661\u0662", "\uff11\uff12"], ids=["arabic-indic", "fullwidth"]
+    )
+    def test_degree_is_ascii_decimal_only(self, digits):
+        with pytest.raises(ValueError, match="header"):
+            parse_group_text(f"degree: {digits}\n(1,2)\n")
 
     def test_max_degree_is_accepted(self):
         assert parse_group_text(f"degree: {MAX_DEGREE}\n").degree == MAX_DEGREE
