@@ -4,10 +4,10 @@ A graph is futile when the stabilizer of the group's ordered orbit
 partition, the direct product of full symmetric groups on the orbits,
 already acts on it by graph automorphisms. Such a graph can never split an
 orbit cell, so a refiner gains nothing by building it. Futility happens
-exactly when the unique component with two or more vertices is a complete
-digraph or a complete bipartite digraph (arc set = sources x sinks); the
-three tests here decide that from orbit arithmetic, from the built graph's
-structure, and from the definition directly.
+exactly when the arc set is the complete digraph on its tails, or is tails
+x heads with the two disjoint. The three tests here decide that from the
+orbit sizes of the base pair, from the built graph's tails and heads, and
+from the definition directly.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from .orbital import (
-    OrbitalGraph,
-    arc_count_formula,
-    build_orbital_graph,
-    check_base_pair,
-    weak_components,
-)
+from .orbital import OrbitalGraph, _pair_orbit_sizes, build_orbital_graph
 from .perm import PermGroup, Permutation, partition_stabilizer_generators
 
 SHAPE_COMPLETE = "complete-on-orbit"
@@ -83,38 +77,28 @@ def is_futile_fast(group: PermGroup, alpha: int, beta: int) -> bool:
     With beta outside, the graph is complete bipartite exactly when the
     stabilizer orbit of beta already covers beta's whole orbit.
     """
-    check_base_pair(group.degree, alpha, beta)
-    orb_a = group.orbit(alpha)
-    k = len(group.point_stabilizer(alpha).orbit(beta))
-    if beta in orb_a:
-        return k == len(orb_a) - 1
-    return k == len(group.orbit(beta))
+    n, k, m, same_orbit = _pair_orbit_sizes(group, alpha, beta)
+    return k == (n - 1 if same_orbit else m)
 
 
 def is_futile_structural(graph: OrbitalGraph, group: PermGroup) -> FutilityVerdict:
-    """Classify the built graph.
+    """Classify the built graph from its sets of arc tails and heads.
 
-    Futile means a unique component with two or more vertices that is
-    either complete (every ordered pair of distinct vertices is an arc) or
-    has arc set exactly sources x sinks with the two vertex classes
-    disjoint. Every vertex of such a component carries an arc, so counting
-    arcs against the class sizes settles both cases. Non-futile verdicts
-    carry a deterministic witness.
+    Arcs are never loops, so the graph is the complete digraph on one
+    component exactly when tails equal heads and it has |tails|(|tails|-1)
+    arcs, and complete bipartite from the tails to disjoint heads exactly
+    when it has |tails||heads| arcs; the component is the union of the two
+    sets. Non-futile verdicts carry a deterministic witness.
     """
     if graph.degree != group.degree:
         raise ValueError("graph and group degrees differ")
-    big = [c for c in weak_components(graph).cells if len(c) > 1]
-    if len(big) == 1:
-        comp = big[0]
-        members = set(comp)
-        comp_arcs = [a for a in graph.arcs if a[0] in members]
-        sources = {x for x, _ in comp_arcs}
-        sinks = {y for _, y in comp_arcs}
-        k = len(comp)
-        if len(comp_arcs) == k * (k - 1):
-            return FutilityVerdict(True, SHAPE_COMPLETE, comp, None)
-        if not (sources & sinks) and len(comp_arcs) == len(sources) * len(sinks):
-            return FutilityVerdict(True, SHAPE_BIPARTITE, comp, None)
+    tails = {x for x, _ in graph.arcs}
+    heads = {y for _, y in graph.arcs}
+    count = len(graph.arcs)
+    if tails == heads and count == len(tails) * (len(tails) - 1):
+        return FutilityVerdict(True, SHAPE_COMPLETE, tuple(sorted(tails)), None)
+    if not tails & heads and count == len(tails) * len(heads):
+        return FutilityVerdict(True, SHAPE_BIPARTITE, tuple(sorted(tails | heads)), None)
     witness = _witness(graph, group)
     if witness is None:
         # the classification above says some stabilizer element breaks the
@@ -142,20 +126,22 @@ class ArcCountBounds:
 
 
 def arc_count_bounds(group: PermGroup, alpha: int, beta: int) -> ArcCountBounds:
-    """Largest arc count a non-futile graph on these orbits could have.
+    """Largest arc count a non-futile graph on these orbits could have;
+    exceeding it is equivalent to futility.
 
-    Exceeding the threshold forces futility; staying at or below it proves
-    nothing, and futile graphs meeting the threshold exactly exist.
+    With n = |alpha^G|, m = |beta^G| and k = |beta^(G_alpha)| there are
+    n*k arcs. In one orbit non-futile means k <= n - 2. Across orbits n*k
+    = m*j with j = |alpha^(G_beta)|, and k < m forces j < n, so a
+    non-futile graph has at most min(n(m - 1), m(n - 1)) arcs. A futile
+    graph has n(n - 1) or n*m arcs, more than either threshold.
     """
-    check_base_pair(group.degree, alpha, beta)
-    orb_a = group.orbit(alpha)
-    n = len(orb_a)
-    if beta in orb_a:
-        threshold = n * (n - 2)
-    else:
-        m = len(group.orbit(beta))
-        threshold = min(n * (m - 1), m * (n - 1))
-    return ArcCountBounds(threshold, arc_count_formula(group, alpha, beta) > threshold)
+    return _bounds(_pair_orbit_sizes(group, alpha, beta))
+
+
+def _bounds(sizes) -> ArcCountBounds:
+    n, k, m, same_orbit = sizes
+    threshold = n * (n - 2) if same_orbit else min(n * (m - 1), m * (n - 1))
+    return ArcCountBounds(threshold, n * k > threshold)
 
 
 def transitive_group_futility(group: PermGroup) -> bool:
@@ -177,11 +163,13 @@ def verdict_record(group, alpha, beta, method, graph=None) -> dict:
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    bounds = arc_count_bounds(group, alpha, beta)
+    sizes = _pair_orbit_sizes(group, alpha, beta)
+    n, k, _, same_orbit = sizes
+    bounds = _bounds(sizes)
     witness, shape = None, SHAPE_NONE
     if method == "fast":
         futile = is_futile_fast(group, alpha, beta)
-        arc_count = arc_count_formula(group, alpha, beta)
+        arc_count = n * k
     else:
         if graph is None:
             graph = build_orbital_graph(group, alpha, beta)
@@ -193,7 +181,7 @@ def verdict_record(group, alpha, beta, method, graph=None) -> dict:
             witness = _witness(graph, group)
             futile = witness is None
     if futile and method != "structural":
-        shape = SHAPE_COMPLETE if beta in group.orbit(alpha) else SHAPE_BIPARTITE
+        shape = SHAPE_COMPLETE if same_orbit else SHAPE_BIPARTITE
     return {
         "base_pair": [alpha, beta],
         "futile": futile,

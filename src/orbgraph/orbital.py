@@ -70,11 +70,21 @@ def build_orbital_graph(group: PermGroup, alpha: int, beta: int) -> OrbitalGraph
     return _graph_from_arcs(group.degree, (alpha, beta), frozenset(seen))
 
 
+def _pair_orbit_sizes(group: PermGroup, alpha: int, beta: int) -> tuple[int, int, int, bool]:
+    """Check the base pair and return |alpha^G|, |beta^(G_alpha)|, |beta^G|
+    and whether beta lies in alpha's orbit: all that the arc count, the
+    fast futility test and the arc-count thresholds read."""
+    check_base_pair(group.degree, alpha, beta)
+    orb_a = group.orbit(alpha)
+    k = len(group.point_stabilizer(alpha).orbit(beta))
+    return len(orb_a), k, len(group.orbit(beta)), beta in orb_a
+
+
 def arc_count_formula(group: PermGroup, alpha: int, beta: int) -> int:
     """Number of arcs without building the graph: the orbit size of alpha
     times the orbit size of beta under alpha's stabilizer."""
-    check_base_pair(group.degree, alpha, beta)
-    return len(group.orbit(alpha)) * len(group.point_stabilizer(alpha).orbit(beta))
+    n, k, _, _ = _pair_orbit_sizes(group, alpha, beta)
+    return n * k
 
 
 def is_self_paired(graph: OrbitalGraph) -> bool:
@@ -233,7 +243,8 @@ def _json_pair(value, degree: int) -> tuple[int, int]:
 def graph_from_json(text: str) -> OrbitalGraph:
     """Rebuild a graph emitted by graph_to_json; adjacency is rederived and
     the isolated field is ignored as redundant. Malformed input, including
-    a degree above MAX_DEGREE and pairs outside the degree, raises
+    a degree above MAX_DEGREE, pairs outside the degree and a base pair
+    that is not an arc (every orbital graph contains its own), raises
     ValueError."""
     data = json.loads(text)
     if not isinstance(data, dict):
@@ -244,8 +255,8 @@ def graph_from_json(text: str) -> OrbitalGraph:
     arcs = data.get("arcs")
     if not isinstance(arcs, list):
         raise ValueError(f"arcs must be a list, got {arcs!r}")
-    return _graph_from_arcs(
-        degree,
-        _json_pair(data.get("base_pair"), degree),
-        frozenset(_json_pair(a, degree) for a in arcs),
-    )
+    base_pair = _json_pair(data.get("base_pair"), degree)
+    arc_set = frozenset(_json_pair(a, degree) for a in arcs)
+    if base_pair not in arc_set:
+        raise ValueError(f"base pair {list(base_pair)} is not an arc")
+    return _graph_from_arcs(degree, base_pair, arc_set)

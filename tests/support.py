@@ -55,15 +55,63 @@ def pgl2_group(p, a) -> PermGroup:
     return group_from_maps(p + 1, translate, scale, invert)
 
 
-def wreath_s4_s4() -> PermGroup:
-    """S_4 wr S_4 on 16 points in blocks {1..4}, {5..8}, {9..12}, {13..16}:
-    S_4 on the first block, and S_4 permuting whole blocks."""
+def pgl2(p) -> PermGroup:
+    """PGL(2,p) scaled by the least primitive root mod p."""
+    a = next(a for a in range(2, p) if len({pow(a, k, p) for k in range(p - 1)}) == p - 1)
+    return pgl2_group(p, a)
+
+
+def cyclic_group(n) -> PermGroup:
+    """C_n acting regularly on 1..n, generated by the n-cycle."""
+    return group_from_maps(n, lambda x: x % n + 1)
+
+
+def wreath_group(m, k) -> PermGroup:
+    """Imprimitive S_m wr S_k on m*k points in k blocks of m consecutive
+    points: S_m on the first block, from (1,2) and its m-cycle, and S_k
+    permuting whole blocks, from the swap of the first two and the shift."""
+    n = m * k
     return group_from_maps(
-        16,
+        n,
         lambda x: {1: 2, 2: 1}.get(x, x),
-        lambda x: x % 4 + 1 if x <= 4 else x,
-        lambda x: x + 4 if x <= 4 else x - 4 if x <= 8 else x,
-        lambda x: (x + 3) % 16 + 1,
+        lambda x: x % m + 1 if x <= m else x,
+        lambda x: x + m if x <= m else x - m if x <= 2 * m else x,
+        lambda x: (x + m - 1) % n + 1,
+    )
+
+
+def product_action_group(m, k) -> PermGroup:
+    """S_m x S_k in product action on the m x k grid, point (i, j) with
+    0 <= i < m and 0 <= j < k numbered i*k + j + 1; each factor acts on its
+    coordinate through a transposition and a full cycle."""
+
+    def on_grid(f, g):
+        return lambda x: f((x - 1) // k) * k + g((x - 1) % k) + 1
+
+    def swap(i):
+        return {0: 1, 1: 0}.get(i, i)
+
+    def same(i):
+        return i
+
+    return group_from_maps(
+        m * k,
+        on_grid(swap, same),
+        on_grid(lambda i: (i + 1) % m, same),
+        on_grid(same, swap),
+        on_grid(same, lambda j: (j + 1) % k),
+    )
+
+
+def disjoint_symmetric_groups(a, b) -> PermGroup:
+    """S_a x S_b on the two orbits {1..a} and {a+1..a+b}, each factor from
+    a transposition and a full cycle of its orbit."""
+    return group_from_maps(
+        a + b,
+        lambda x: {1: 2, 2: 1}.get(x, x),
+        lambda x: x % a + 1 if x <= a else x,
+        lambda x: {a + 1: a + 2, a + 2: a + 1}.get(x, x),
+        lambda x: x if x <= a else (x - a) % b + a + 1,
     )
 
 

@@ -22,11 +22,19 @@ from orbgraph.perm import PermGroup, partition_stabilizer_generators
 
 from support import (
     all_elements,
+    alternating_group,
     base_pairs_of,
     block_preserving_group,
     brute_futile,
+    cyclic_group,
+    dihedral_group,
+    disjoint_symmetric_groups,
     group_from,
     groups_st,
+    pgl2,
+    product_action_group,
+    symmetric_group,
+    wreath_group,
 )
 
 
@@ -169,9 +177,8 @@ class TestArcCountBounds:
         assert bounds.exceeds
 
     def test_exceeding_implies_futile(self, corpus_sample):
-        # the guaranteed direction; futile orbital graphs carry exactly
-        # n(n-1) or n*m arcs, so in practice they exceed as well, but only
-        # exceeds -> futile is promised
+        # one direction of the equivalence below, kept as its own check;
+        # both sides of the threshold occur in the sample
         exceeding = not_exceeding = 0
         for group in corpus_sample:
             for pair in enumerate_base_pairs(group):
@@ -182,6 +189,13 @@ class TestArcCountBounds:
                 else:
                     not_exceeding += 1
         assert exceeding > 0 and not_exceeding > 0
+
+    def test_exceeding_is_futility(self, corpus_sample):
+        # non-futile graphs have at most n(n-2) arcs within an orbit and
+        # min(n(m-1), m(n-1)) across, futile ones n(n-1) or n*m
+        for group in corpus_sample:
+            for pair in base_pairs_of(group):
+                assert arc_count_bounds(group, *pair).exceeds == is_futile_fast(group, *pair)
 
 
 class TestTransitiveGroups:
@@ -271,6 +285,7 @@ def test_three_routes_agree_at_larger_degrees():
             g = build_orbital_graph(group, alpha, beta)
             fast = is_futile_fast(group, alpha, beta)
             assert fast == is_futile_structural(g, group).futile == is_futile_oracle(g, group)
+            assert arc_count_bounds(group, alpha, beta).exceeds == fast
             assert arc_count_formula(group, alpha, beta) == len(g.arcs)
             arc_sets.add(g.arcs)
             verdicts.add(fast)
@@ -278,3 +293,45 @@ def test_three_routes_agree_at_larger_degrees():
         assert len(arc_sets) == len(pairs)
         swept += len(pairs)
     assert verdicts == {True, False} and swept > 1000
+
+
+def _family(build, argsets, pairs, futile):
+    return [
+        pytest.param(build, args, pairs(*args), futile, id=f"{build.__name__}{args}")
+        for args in argsets
+    ]
+
+
+# For a transitive group the base pairs number the rank minus 1.
+FORMULA_FAMILIES = [
+    # rank n; each graph is a union of directed cycles or perfect matchings
+    *_family(cyclic_group, [(3,), (4,), (7,), (30,), (200,)], lambda n: n - 1, 0),
+    # rank floor(n/2) + 1; each graph is a union of cycles or matchings
+    *_family(dihedral_group, [(4,), (5,), (6,), (9,), (64,), (200,)], lambda n: n // 2, 0),
+    # rank 3: k disjoint complete digraphs, and the complete multipartite one
+    *_family(wreath_group, [(2, 2), (2, 5), (3, 4), (4, 4), (5, 3)], lambda m, k: 2, 0),
+    # rank 4 on the m x k grid: same row, same column, neither
+    *_family(product_action_group, [(2, 2), (2, 3), (3, 4), (5, 5)], lambda m, k: 3, 0),
+    # 2-transitive: the one graph is the complete digraph
+    *_family(symmetric_group, [(4,), (9,), (24,)], lambda n: 1, 1),
+    *_family(alternating_group, [(5,), (9,), (21,)], lambda n: 1, 1),
+    *_family(pgl2, [(5,), (13,), (31,), (61,)], lambda p: 1, 1),
+    # two orbits: a complete digraph on each, complete bipartite both ways
+    *_family(disjoint_symmetric_groups, [(2, 2), (2, 5), (4, 3), (6, 6)], lambda a, b: 4, 4),
+]
+
+
+@pytest.mark.parametrize("build, args, pairs, futile", FORMULA_FAMILIES)
+def test_formula_families(build, args, pairs, futile):
+    group = build(*args)
+    found = enumerate_base_pairs(group)
+    assert len(found) == pairs
+    verdicts = []
+    for alpha, beta in found:
+        g = build_orbital_graph(group, alpha, beta)
+        fast = is_futile_fast(group, alpha, beta)
+        assert fast == is_futile_structural(g, group).futile == is_futile_oracle(g, group)
+        assert arc_count_bounds(group, alpha, beta).exceeds == fast
+        assert arc_count_formula(group, alpha, beta) == len(g.arcs)
+        verdicts.append(fast)
+    assert sum(verdicts) == futile

@@ -255,6 +255,9 @@ class TestEmission:
             '{"degree": "3", "base_pair": [1, 2], "arcs": []}',
             '{"degree": true, "base_pair": [1, 2], "arcs": []}',
             '{"degree": 1000000000, "base_pair": [1, 2], "arcs": []}',
+            # every orbital graph contains its base pair
+            '{"degree": 3, "base_pair": [1, 2], "arcs": []}',
+            '{"degree": 3, "base_pair": [1, 2], "arcs": [[2, 3]]}',
         ],
     )
     def test_malformed_json_is_a_value_error(self, text):

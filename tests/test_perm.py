@@ -29,16 +29,10 @@ from support import (
     group_from_maps,
     groups_st,
     permutations_st,
-    pgl2_group,
+    pgl2,
     symmetric_group,
-    wreath_s4_s4,
+    wreath_group,
 )
-
-
-def pgl2(p):
-    """PGL(2,p) scaled by the least primitive root mod p."""
-    a = next(a for a in range(2, p) if len({pow(a, k, p) for k in range(p - 1)}) == p - 1)
-    return pgl2_group(p, a)
 
 
 # one group of each formula-built family, beyond the degrees of the
@@ -48,7 +42,7 @@ FAMILIES = {
     "A_13": lambda: alternating_group(13),
     "D_20": lambda: dihedral_group(20),
     "PGL(2,13)": lambda: pgl2(13),
-    "S_4 wr S_4": wreath_s4_s4,
+    "S_4 wr S_4": lambda: wreath_group(4, 4),
 }
 
 
@@ -351,7 +345,7 @@ class TestKnownFamilies:
             assert group.transitivity_degree() == (3 if n == 3 else 1)
 
     def test_wreath_product(self):
-        group = wreath_s4_s4()
+        group = wreath_group(4, 4)
         assert group.order() == 24**4 * 24
         assert group.transitivity_degree() == 1
 
