@@ -24,49 +24,75 @@ class RefinementTrace:
 
 
 def refine_by_graph(partition: OrderedPartition, graph: OrbitalGraph) -> RefinementTrace:
-    """Split every cell by vertex signature until nothing changes.
+    """Split cells by vertex signature until nothing changes.
 
     A vertex's signature is the tuple over current cells of (arcs out into
-    the cell, arcs in from the cell). Split cells replace their parent in
-    place, ordered by ascending signature, so the output order is a
-    function of (parent position, signature).
+    the cell, arcs in from the cell). Each round signs against the cells
+    the round before left; split cells replace their parent in place,
+    ordered by ascending signature, so the output order is a function of
+    (parent position, signature).
+
+    A signature is stored sparsely: one (-k, out, in) entry for each cell
+    position k the vertex has an arc to or from, in ascending k. With k
+    negated, tuple order is the order of the full signatures: the first
+    differing position decides, and there a nonzero entry beats the zeros
+    the sparse form leaves out.
+
+    The first round examines every cell. A later round examines only the
+    cells holding an out- or in-neighbour of a vertex whose cell split in
+    the round before. Another cell's vertices have arcs only to and from
+    cells that did not split, so they count what they counted a round
+    ago, when they all agreed: such a cell cannot split. Singletons are
+    skipped.
     """
     if partition.degree != graph.degree:
         raise ValueError("partition and graph degrees differ")
+    out_adj, in_adj = graph.out_adj, graph.in_adj
+    position = [0] * (partition.degree + 1)
+
+    def signature(v):
+        entries = {}
+        for w in out_adj[v - 1]:
+            k = position[w]
+            if k in entries:
+                entries[k][1] += 1
+            else:
+                entries[k] = [-k, 1, 0]
+        for w in in_adj[v - 1]:
+            k = position[w]
+            if k in entries:
+                entries[k][2] += 1
+            else:
+                entries[k] = [-k, 0, 1]
+        # descending -k is ascending position
+        return tuple(sorted(map(tuple, entries.values()), reverse=True))
+
     cells = list(partition.cells)
+    examine = range(len(cells))
+    moved: list[int] = []
     rounds = 0
     while True:
         rounds += 1
-        index = {}
         for k, cell in enumerate(cells):
             for p in cell:
-                index[p] = k
-        width = len(cells)
-
-        def signature(v):
-            out = [0] * width
-            inn = [0] * width
-            for w in graph.out_adj[v - 1]:
-                out[index[w]] += 1
-            for w in graph.in_adj[v - 1]:
-                inn[index[w]] += 1
-            return tuple(zip(out, inn))
-
-        new_cells = []
-        changed = False
-        for cell in cells:
+                position[p] = k
+        if moved:
+            examine = {position[w] for u in moved for w in out_adj[u - 1]}
+            examine.update(position[w] for u in moved for w in in_adj[u - 1])
+        splits = {}
+        for k in examine:
+            cell = cells[k]
+            if len(cell) == 1:
+                continue
             buckets: dict[tuple, list[int]] = {}
             for v in cell:
                 buckets.setdefault(signature(v), []).append(v)
-            if len(buckets) == 1:
-                new_cells.append(cell)
-            else:
-                changed = True
-                for sig in sorted(buckets):
-                    new_cells.append(tuple(buckets[sig]))
-        if not changed:
+            if len(buckets) > 1:
+                splits[k] = [tuple(buckets[sig]) for sig in sorted(buckets)]
+        if not splits:
             break
-        cells = new_cells
+        moved = [v for k in splits for v in cells[k]]
+        cells = [part for k, cell in enumerate(cells) for part in splits.get(k, (cell,))]
     output = OrderedPartition(partition.degree, cells)
     return RefinementTrace(
         graph.base_pair,

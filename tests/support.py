@@ -9,7 +9,14 @@ from math import factorial
 
 import hypothesis.strategies as st
 
-from orbgraph.perm import PermGroup, Permutation, parse_cycles, partition_stabilizer_generators
+from orbgraph.perm import (
+    OrderedPartition,
+    PermGroup,
+    Permutation,
+    parse_cycles,
+    partition_stabilizer_generators,
+)
+from orbgraph.refine import RefinementTrace
 
 
 def group_from(degree, *cycles) -> PermGroup:
@@ -186,6 +193,56 @@ def brute_transitivity_degree(elements, degree) -> int:
             break
         k += 1
     return k
+
+
+def dense_refine(partition, graph) -> RefinementTrace:
+    """The dense signature refiner, kept as the reference for
+    refine_by_graph's cells, cell order, rounds and splits: every round
+    signs every vertex of every cell with a width-|cells| vector."""
+    if partition.degree != graph.degree:
+        raise ValueError("partition and graph degrees differ")
+    cells = list(partition.cells)
+    rounds = 0
+    while True:
+        rounds += 1
+        index = {}
+        for k, cell in enumerate(cells):
+            for p in cell:
+                index[p] = k
+        width = len(cells)
+
+        def signature(v):
+            out = [0] * width
+            inn = [0] * width
+            for w in graph.out_adj[v - 1]:
+                out[index[w]] += 1
+            for w in graph.in_adj[v - 1]:
+                inn[index[w]] += 1
+            return tuple(zip(out, inn))
+
+        new_cells = []
+        changed = False
+        for cell in cells:
+            buckets: dict[tuple, list[int]] = {}
+            for v in cell:
+                buckets.setdefault(signature(v), []).append(v)
+            if len(buckets) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for sig in sorted(buckets):
+                    new_cells.append(tuple(buckets[sig]))
+        if not changed:
+            break
+        cells = new_cells
+    output = OrderedPartition(partition.degree, cells)
+    return RefinementTrace(
+        graph.base_pair,
+        partition,
+        output,
+        rounds,
+        len(output.cells) - len(partition.cells),
+    )
 
 
 def permutations_st(min_degree=1, max_degree=8):

@@ -1,5 +1,7 @@
 """Signature refinement and the futile-graphs-change-nothing guarantee."""
 
+import random
+
 import pytest
 
 from orbgraph.futility import is_futile_fast
@@ -7,10 +9,49 @@ from orbgraph.orbital import OrbitalGraph, build_orbital_graph, enumerate_base_p
 from orbgraph.perm import OrderedPartition
 from orbgraph.refine import refine_by_graph, select_useful_graphs, trace_record
 
+from support import (
+    block_preserving_group,
+    cyclic_group,
+    dense_refine,
+    dihedral_group,
+    wreath_group,
+)
 
-def arcless(degree):
-    empty = tuple(() for _ in range(degree))
-    return OrbitalGraph(degree, (1, 2), (), empty, empty, frozenset())
+
+def graph_of(degree, arcs):
+    """An OrbitalGraph with exactly these arcs, the first one as base pair."""
+    arcs = tuple(sorted(arcs))
+    out_adj = tuple(tuple(sorted(y for x, y in arcs if x == p)) for p in range(1, degree + 1))
+    in_adj = tuple(tuple(sorted(x for x, y in arcs if y == p)) for p in range(1, degree + 1))
+    return OrbitalGraph(degree, arcs[0] if arcs else (1, 2), arcs, out_adj, in_adj, frozenset(arcs))
+
+
+def individualised(partition, point):
+    """The partition with point split off in front of the rest of its cell."""
+    cells = []
+    for cell in partition.cells:
+        if point in cell:
+            cells.append((point,))
+            cells.append(tuple(p for p in cell if p != point))
+        else:
+            cells.append(cell)
+    return OrderedPartition(partition.degree, [c for c in cells if c])
+
+
+def random_partition(rng, degree):
+    points = list(range(1, degree + 1))
+    rng.shuffle(points)
+    cuts = sorted(rng.sample(range(1, degree), rng.randint(0, min(3, degree - 1))))
+    return OrderedPartition(degree, [points[a:b] for a, b in zip([0] + cuts, cuts + [degree])])
+
+
+def reference_partitions(rng, group):
+    orbits = group.orbit_partition()
+    yield OrderedPartition.unit(group.degree)
+    yield orbits
+    for point in rng.sample(range(1, group.degree + 1), 3):
+        yield individualised(orbits, point)
+    yield random_partition(rng, group.degree)
 
 
 class TestRefineByGraph:
@@ -33,7 +74,7 @@ class TestRefineByGraph:
 
     def test_arcless_graph_changes_nothing(self):
         part = OrderedPartition(5, [[1, 2, 3], [4, 5]])
-        trace = refine_by_graph(part, arcless(5))
+        trace = refine_by_graph(part, graph_of(5, ()))
         assert trace.output_partition == part
         assert trace.rounds == 1
         assert trace.split_count == 0
@@ -114,3 +155,61 @@ def test_trace_record_fields(two_swaps):
         "cells_before": 1,
         "cells_after": 3,
     }
+
+
+def reference_groups(rng, corpus_sample):
+    yield from corpus_sample
+    for n in [*range(3, 13), *range(15, 61, 5)]:
+        yield cyclic_group(n)
+        yield dihedral_group(n)
+    yield wreath_group(3, 4)
+    for degree in (20, 30, 40, 50, 60):
+        yield block_preserving_group(rng, degree, rng.randint(1, 3), rng.randint(2, 8))
+
+
+def test_matches_dense_reference(corpus_sample):
+    # cells, their order, rounds and splits all match the dense refiner,
+    # which signs every vertex against every cell in every round; degrees
+    # past 12 test a seeded sample of at most four base pairs each
+    rng = random.Random(20261018)
+    for group in reference_groups(rng, corpus_sample):
+        partitions = list(reference_partitions(rng, group))
+        pairs = enumerate_base_pairs(group)
+        if group.degree > 12:
+            pairs = rng.sample(pairs, min(4, len(pairs)))
+        for pair in pairs:
+            graph = build_orbital_graph(group, *pair)
+            for partition in partitions:
+                assert refine_by_graph(partition, graph) == dense_refine(partition, graph)
+
+
+def test_signature_order_puts_earlier_cells_last():
+    # 3 has an arc into cell (1,), 4 only into the later cell (2,), so 3
+    # has the larger signature and its cell comes after 4's
+    part = OrderedPartition(4, [[1], [2], [3, 4]])
+    trace = refine_by_graph(part, graph_of(4, [(3, 1), (4, 2)]))
+    assert trace.output_partition.cells == ((1,), (2,), (4,), (3,))
+    assert trace.rounds == 2
+    assert trace.split_count == 1
+
+
+@pytest.mark.parametrize("n", [7, 8, 100, 101, 400])
+def test_cycle_refines_to_discrete(n):
+    # with 1 individualised, round k splits off 1+k and 1-k; the last
+    # round finds nothing to split, so there are ceil(n/2) rounds
+    graph = build_orbital_graph(cyclic_group(n), 1, 2)
+    trace = refine_by_graph(OrderedPartition(n, [[1], range(2, n + 1)]), graph)
+    assert sorted(trace.output_partition.cells) == [(p,) for p in range(1, n + 1)]
+    assert trace.rounds == (n + 1) // 2
+    assert trace.split_count == n - 2
+
+
+@pytest.mark.parametrize("n", [7, 8, 100, 101, 400])
+def test_dihedral_refines_to_stabilizer_orbits(n):
+    # the undirected n-gon separates the points by distance from 1, which
+    # are the orbits {1+k, 1-k} of 1's stabilizer
+    graph = build_orbital_graph(dihedral_group(n), 1, 2)
+    trace = refine_by_graph(OrderedPartition(n, [[1], range(2, n + 1)]), graph)
+    mirror = [tuple(sorted({1 + k, (n - k) % n + 1})) for k in range(1, n // 2 + 1)]
+    assert sorted(trace.output_partition.cells) == sorted([(1,)] + mirror)
+    assert trace.rounds == n // 2
