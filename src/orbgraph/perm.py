@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import threading
 from collections import deque
+from operator import itemgetter
 
 
 class Permutation:
@@ -55,8 +56,11 @@ class Permutation:
             return NotImplemented
         if other.degree != self.degree:
             raise ValueError("cannot compose permutations of different degree")
-        oi = other.images
-        return Permutation._unchecked(tuple(oi[i - 1] for i in self.images))
+        if self.degree == 1:
+            return self  # the only permutation of degree 1
+        # the leading 0 lets the 1-based images index other's table; with
+        # one argument, itemgetter would return a scalar, not a tuple
+        return Permutation._unchecked(itemgetter(*self.images)((0,) + other.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree

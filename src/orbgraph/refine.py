@@ -1,8 +1,9 @@
 """Partition refinement driven by one orbital graph.
 
 The demonstrator behind the futility notion: vertices are separated by
-their per-cell out/in degree vectors, repeated to a fixpoint. A futile
-graph never splits the orbit partition; a useful one can.
+their arc counts into and out of splitter cells until the partition is
+equitable. A futile graph never splits the orbit partition; a useful one
+can.
 """
 
 from __future__ import annotations
@@ -24,76 +25,95 @@ class RefinementTrace:
 
 
 def refine_by_graph(partition: OrderedPartition, graph: OrbitalGraph) -> RefinementTrace:
-    """Split cells by vertex signature until nothing changes.
+    """Split cells by their arc counts into and out of splitter cells until
+    the partition is equitable.
 
-    A vertex's signature is the tuple over current cells of (arcs out into
-    the cell, arcs in from the cell). Each round signs against the cells
-    the round before left; split cells replace their parent in place,
-    ordered by ascending signature, so the output order is a function of
-    (parent position, signature).
+    A queue of splitter cells starts as every input cell in position order.
+    Popping a splitter W counts, for each vertex, its arcs into W and from
+    W, reading the adjacency of W's members only. Each cell holding a
+    counted vertex splits by the pair (arcs into W, arcs from W), an
+    uncounted vertex having (0, 0); the fragments replace the parent in
+    place, in ascending pair order, and touched cells are split in cell
+    order. If the parent was waiting in the queue, every fragment waits
+    there with it; otherwise every fragment but the first largest is
+    queued for the next round. Each splitter a vertex is popped in is at
+    most half the one before, so a vertex is in at most 1 + log2(n)
+    popped splitters and refinement reads O(m log n) adjacency entries.
 
-    A signature is stored sparsely: one (-k, out, in) entry for each cell
-    position k the vertex has an arc to or from, in ascending k. With k
-    negated, tuple order is the order of the full signatures: the first
-    differing position decides, and there a nonzero entry beats the zeros
-    the sparse form leaves out.
-
-    The first round examines every cell. A later round examines only the
-    cells holding an out- or in-neighbour of a vertex whose cell split in
-    the round before. Another cell's vertices have arcs only to and from
-    cells that did not split, so they count what they counted a round
-    ago, when they all agreed: such a cell cannot split. Singletons are
-    skipped.
+    A round is one generation of the queue: the splitters queued when it
+    began, with the fragments they are split into. The output is the
+    coarsest equitable refinement of the input, which is unique as a set
+    of cells; its cell order depends only on the graph and the input's
+    cell order, never on point labels.
     """
     if partition.degree != graph.degree:
         raise ValueError("partition and graph degrees differ")
     out_adj, in_adj = graph.out_adj, graph.in_adj
-    position = [0] * (partition.degree + 1)
-
-    def signature(v):
-        entries = {}
-        for w in out_adj[v - 1]:
-            k = position[w]
-            if k in entries:
-                entries[k][1] += 1
-            else:
-                entries[k] = [-k, 1, 0]
-        for w in in_adj[v - 1]:
-            k = position[w]
-            if k in entries:
-                entries[k][2] += 1
-            else:
-                entries[k] = [-k, 0, 1]
-        # descending -k is ascending position
-        return tuple(sorted(map(tuple, entries.values()), reverse=True))
-
-    cells = list(partition.cells)
-    examine = range(len(cells))
-    moved: list[int] = []
+    # a cell is keyed by its start, the number of points in earlier cells,
+    # so key order is cell order
+    cells: dict[int, set[int]] = {}
+    start_of = [0] * (partition.degree + 1)
+    start = 0
+    for cell in partition.cells:
+        cells[start] = set(cell)
+        for p in cell:
+            start_of[p] = start
+        start += len(cell)
+    queue = list(cells)
+    waiting = dict.fromkeys(queue, queue)  # start -> the generation it waits in
     rounds = 0
-    while True:
+    while queue:
         rounds += 1
-        for k, cell in enumerate(cells):
-            for p in cell:
-                position[p] = k
-        if moved:
-            examine = {position[w] for u in moved for w in out_adj[u - 1]}
-            examine.update(position[w] for u in moved for w in in_adj[u - 1])
-        splits = {}
-        for k in examine:
-            cell = cells[k]
-            if len(cell) == 1:
-                continue
-            buckets: dict[tuple, list[int]] = {}
-            for v in cell:
-                buckets.setdefault(signature(v), []).append(v)
-            if len(buckets) > 1:
-                splits[k] = [tuple(buckets[sig]) for sig in sorted(buckets)]
-        if not splits:
-            break
-        moved = [v for k in splits for v in cells[k]]
-        cells = [part for k, cell in enumerate(cells) for part in splits.get(k, (cell,))]
-    output = OrderedPartition(partition.degree, cells)
+        later: list[int] = []
+        # queue grows while it is read when a waiting cell splits
+        for s in queue:
+            del waiting[s]
+            splitter = cells[s]
+            # into[w]: arcs from w into the splitter; out_of[w]: arcs out
+            # of the splitter to w
+            into: dict[int, int] = {}
+            for v in splitter:
+                for w in in_adj[v - 1]:
+                    into[w] = into.get(w, 0) + 1
+            out_of: dict[int, int] = {}
+            for v in splitter:
+                for w in out_adj[v - 1]:
+                    out_of[w] = out_of.get(w, 0) + 1
+            touched: dict[int, list[int]] = {}
+            for w in into.keys() | out_of.keys():
+                touched.setdefault(start_of[w], []).append(w)
+            for t in sorted(touched):
+                cell = cells[t]
+                hit = touched[t]
+                groups: dict[tuple[int, int], list[int]] = {}
+                for w in hit:
+                    groups.setdefault((into.get(w, 0), out_of.get(w, 0)), []).append(w)
+                if len(groups) == 1 and len(hit) == len(cell):
+                    continue
+                cell.difference_update(hit)
+                fragments = [cell] if cell else []
+                fragments.extend(set(groups[pair]) for pair in sorted(groups))
+                starts = []
+                start = t
+                for fragment in fragments:
+                    cells[start] = fragment
+                    if fragment is not cell:
+                        for w in fragment:
+                            start_of[w] = start
+                    starts.append(start)
+                    start += len(fragment)
+                generation = waiting.get(t)
+                if generation is None:
+                    sizes = [len(f) for f in fragments]
+                    del starts[sizes.index(max(sizes))]
+                    generation = later
+                else:
+                    del starts[0]
+                for start in starts:
+                    waiting[start] = generation
+                    generation.append(start)
+        queue = later
+    output = OrderedPartition(partition.degree, [cells[s] for s in sorted(cells)])
     return RefinementTrace(
         graph.base_pair,
         partition,

@@ -197,8 +197,9 @@ def brute_transitivity_degree(elements, degree) -> int:
 
 def dense_refine(partition, graph) -> RefinementTrace:
     """The dense signature refiner, kept as the reference for
-    refine_by_graph's cells, cell order, rounds and splits: every round
-    signs every vertex of every cell with a width-|cells| vector."""
+    refine_by_graph's cells as sets and its split count: every round signs
+    every vertex of every cell with a width-|cells| vector. Its cell order
+    and rounds are its own."""
     if partition.degree != graph.degree:
         raise ValueError("partition and graph degrees differ")
     cells = list(partition.cells)

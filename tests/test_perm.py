@@ -110,6 +110,10 @@ class TestPermutationArithmetic:
         assert (p * q).apply(3) == 2
         assert (p * q).apply(4) == 6
 
+    def test_compose_degree_one(self):
+        product = Permutation.identity(1) * Permutation([1])
+        assert product.images == (1,) and product.degree == 1
+
     def test_compose_degree_mismatch(self):
         with pytest.raises(ValueError):
             parse_cycles("(1,2)", 2) * parse_cycles("(1,2)", 3)
