@@ -19,13 +19,9 @@ from .futility import (
 from .orbital import (
     OrbitalGraph,
     arc_count_formula,
-    arc_mapping_element,
     build_orbital_graph,
     check_base_pair,
-    components_pairwise_isomorphic,
-    distinct_base_pairs,
     enumerate_base_pairs,
-    graph_from_json,
     graph_to_json,
     is_self_paired,
     isolated_vertices,

@@ -15,8 +15,6 @@ import sys
 from .futility import METHODS, verdict_record
 from .orbital import (
     build_orbital_graph,
-    check_base_pair,
-    distinct_base_pairs,
     enumerate_base_pairs,
     graph_to_json,
     is_self_paired,
@@ -68,7 +66,6 @@ def _cmd_orbits(args) -> int:
 def _cmd_graph(args) -> int:
     group = _load_group(args.group)
     alpha, beta = args.pair
-    check_base_pair(group.degree, alpha, beta)
     graph = build_orbital_graph(group, alpha, beta)
     if args.dot:
         print(to_dot(graph))
@@ -88,8 +85,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_base_pairs(args) -> int:
     group = _load_group(args.group)
-    pairs = distinct_base_pairs(group) if args.dedup else enumerate_base_pairs(group)
-    for a, b in pairs:
+    for a, b in enumerate_base_pairs(group):
         print(f"{a},{b}")
     return 0
 
@@ -106,11 +102,7 @@ def _futility_records(group, alpha, beta, methods, table):
 def _cmd_futility(args) -> int:
     group = _load_group(args.group)
     methods = list(METHODS) if args.method == "all" else [args.method]
-    if args.pair is not None:
-        check_base_pair(group.degree, args.pair[0], args.pair[1])
-        pairs = [args.pair]
-    else:
-        pairs = enumerate_base_pairs(group)
+    pairs = [args.pair] if args.pair is not None else enumerate_base_pairs(group)
 
     all_records = []
     rows = []
@@ -169,7 +161,6 @@ def _cmd_futility(args) -> int:
 def _cmd_refine(args) -> int:
     group = _load_group(args.group)
     alpha, beta = args.pair
-    check_base_pair(group.degree, alpha, beta)
     graph = build_orbital_graph(group, alpha, beta)
     if args.partition == "unit":
         start = OrderedPartition.unit(group.degree)
@@ -207,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dedup",
         action="store_true",
-        help="also drop pairs whose arc set repeats an earlier pair",
+        help="accepted for compatibility; no effect, since the enumeration "
+        "never repeats a graph",
     )
     p.set_defaults(func=_cmd_base_pairs)
 

@@ -146,10 +146,12 @@ def _bounds(sizes) -> ArcCountBounds:
 
 def transitive_group_futility(group: PermGroup) -> bool:
     """For a transitive group every orbital graph is futile or none is:
-    futile exactly when the group is at least 2-transitive."""
+    futile exactly when the group is at least 2-transitive, that is when
+    the stabilizer of point 1 is transitive on the other points, which is
+    the fast test on the pair (1, 2). No stabilizer chain is built."""
     if not group.is_transitive():
         raise ValueError("group is not transitive")
-    return group.transitivity_degree() >= 2
+    return group.degree > 1 and is_futile_fast(group, 1, 2)
 
 
 def verdict_record(group, alpha, beta, method, graph=None) -> dict:

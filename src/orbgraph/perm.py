@@ -187,21 +187,6 @@ class OrderedPartition:
     def unit(cls, degree: int) -> "OrderedPartition":
         return cls(degree, [range(1, degree + 1)])
 
-    def cell_index(self) -> dict[int, int]:
-        """Map each point to the position of its cell."""
-        idx: dict[int, int] = {}
-        for k, cell in enumerate(self.cells):
-            for p in cell:
-                idx[p] = k
-        return idx
-
-    def is_refinement_of(self, other: "OrderedPartition") -> bool:
-        """True when every cell here lies inside a single cell of other."""
-        if self.degree != other.degree:
-            return False
-        coarse = other.cell_index()
-        return all(len({coarse[p] for p in cell}) == 1 for cell in self.cells)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OrderedPartition)
@@ -246,23 +231,6 @@ class _ChainLevel:
         self.point = point
         self.gens: list[Permutation] = []
         self.transversal = transversal
-
-
-def _schreier_tree(gens, root: int, ident: Permutation) -> dict[int, Permutation]:
-    """Map each point x of root's orbit under gens to a product u of gens
-    with root^u = x, breadth first so that u is a shortest such word.
-    Points appear in discovery order and root maps to ident."""
-    tree = {root: ident}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        ux = tree[x]
-        for s in gens:
-            y = s.images[x - 1]
-            if y not in tree:
-                tree[y] = ux * s
-                queue.append(y)
-    return tree
 
 
 def _sift(levels: list[_ChainLevel], h: Permutation, start: int = 0):
@@ -448,7 +416,17 @@ class PermGroup:
         cached = self._stabilizers.get(point)
         if cached is not None:
             return cached
-        tree = _schreier_tree(self.generators, point, Permutation.identity(self.degree))
+        # breadth first, so that each u_x is a shortest word in the generators
+        tree = {point: Permutation.identity(self.degree)}
+        queue = deque([point])
+        while queue:
+            x = queue.popleft()
+            ux = tree[x]
+            for s in self.generators:
+                y = s.images[x - 1]
+                if y not in tree:
+                    tree[y] = ux * s
+                    queue.append(y)
         gens: dict[Permutation, None] = {}
         for x, ux in tree.items():
             for s in self.generators:

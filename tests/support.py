@@ -1,5 +1,5 @@
-"""Brute-force reference computations, groups of known order built from
-formulas, and hypothesis strategies.
+"""Brute-force reference computations, reference checks on built graphs,
+groups of known order built from formulas, and hypothesis strategies.
 
 The brute functions enumerate group elements outright, so they stay
 independent of the stabilizer-chain machinery they are used to check.
@@ -9,6 +9,7 @@ from math import factorial
 
 import hypothesis.strategies as st
 
+from orbgraph.orbital import weak_components
 from orbgraph.perm import (
     OrderedPartition,
     PermGroup,
@@ -193,6 +194,59 @@ def brute_transitivity_degree(elements, degree) -> int:
             break
         k += 1
     return k
+
+
+def _words(gens, root, degree) -> dict[int, Permutation]:
+    """Map each point x of root's orbit under gens to a product u of gens
+    with root^u = x, breadth first."""
+    words = {root: Permutation.identity(degree)}
+    queue = [root]
+    for x in queue:
+        for s in gens:
+            y = s.apply(x)
+            if y not in words:
+                words[y] = words[x] * s
+                queue.append(y)
+    return words
+
+
+def arc_mapping_element(group, source, target) -> Permutation | None:
+    """A group element sending the ordered pair source to target, or None.
+
+    Found in two steps: an element u with source[0]^u = target[0], then an
+    element w of source[0]'s stabilizer moving source[1] onto the preimage
+    of target[1] under u. The product w * u does both.
+    """
+    (a, b), (c, d) = source, target
+    u = _words(group.generators, a, group.degree).get(c)
+    if u is None:
+        return None
+    stab = group.point_stabilizer(a)
+    w = _words(stab.generators, b, group.degree).get(u.inverse().apply(d))
+    return None if w is None else w * u
+
+
+def components_pairwise_isomorphic(graph, group) -> bool:
+    """Verify that an explicit group element carries the base-pair component
+    onto every other component with at least two vertices.
+
+    The element maps the base pair onto an arc of the target component; it
+    acts as a graph automorphism, so its image of the base component must
+    be exactly the target component.
+    """
+    if graph.degree != group.degree:
+        raise ValueError("graph and group degrees differ")
+    comps = [c for c in weak_components(graph).cells if len(c) > 1]
+    base = next(c for c in comps if graph.base_pair[0] in c)
+    for comp in comps:
+        if comp == base:
+            continue
+        members = set(comp)
+        arc = next(a for a in graph.arcs if a[0] in members)
+        h = arc_mapping_element(group, graph.base_pair, arc)
+        if h is None or {h.apply(v) for v in base} != members:
+            return False
+    return True
 
 
 def dense_refine(partition, graph) -> RefinementTrace:

@@ -22,10 +22,7 @@ from orbgraph.futility import (
 )
 from orbgraph.orbital import (
     arc_count_formula,
-    arc_mapping_element,
     build_orbital_graph,
-    components_pairwise_isomorphic,
-    distinct_base_pairs,
     enumerate_base_pairs,
     is_self_paired,
     isolated_vertices,
@@ -35,7 +32,7 @@ from orbgraph.perm import OrderedPartition, PermGroup, partition_stabilizer_gene
 from orbgraph.refine import refine_by_graph
 
 from conftest import CorpusConfig
-from support import group_from
+from support import arc_mapping_element, components_pairwise_isomorphic, group_from
 
 
 def criterion(label):
@@ -193,7 +190,7 @@ def test_criterion_5_enumeration_complete(corpus):
 def test_criterion_6_structural_properties(corpus):
     for group in corpus:
         domain = set(range(1, group.degree + 1))
-        for alpha, beta in distinct_base_pairs(group):
+        for alpha, beta in enumerate_base_pairs(group):
             graph = build_orbital_graph(group, alpha, beta)
 
             # (i) every arc regenerates the same graph

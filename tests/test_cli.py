@@ -10,7 +10,7 @@ import pytest
 
 from orbgraph import futility
 from orbgraph.cli import run
-from orbgraph.orbital import build_orbital_graph, enumerate_base_pairs, graph_from_json
+from orbgraph.orbital import build_orbital_graph, enumerate_base_pairs
 from orbgraph.perm import parse_cycles, parse_group_text
 
 from test_golden import cases
@@ -66,9 +66,11 @@ class TestGraph:
 
     def test_json_round_trip(self, capsys, two_triangles_file, two_triangles):
         assert run(["graph", two_triangles_file, "--pair", "1,2", "--json"]) == 0
-        emitted = capsys.readouterr().out
-        back = graph_from_json(emitted)
-        assert back.arcs == build_orbital_graph(two_triangles, 1, 2).arcs
+        data = json.loads(capsys.readouterr().out)
+        g = build_orbital_graph(two_triangles, 1, 2)
+        assert data["base_pair"] == [1, 2]
+        assert [tuple(a) for a in data["arcs"]] == list(g.arcs)
+        assert data["isolated"] == [7, 8, 9]
 
     def test_human_output_mentions_arcs(self, capsys, two_swaps_file):
         assert run(["graph", two_swaps_file, "--pair", "1,7"]) == 0
@@ -96,6 +98,7 @@ class TestBasePairs:
         def no_graph(*args):
             raise AssertionError("orbital graph built for base-pairs --dedup")
 
+        monkeypatch.setattr("orbgraph.cli.build_orbital_graph", no_graph)
         monkeypatch.setattr("orbgraph.orbital.build_orbital_graph", no_graph)
         assert run(["base-pairs", two_swaps_file, "--dedup"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 22
@@ -224,12 +227,31 @@ class TestExitCodes:
 
     def test_equal_pair_points_is_input_error(self, capsys, two_swaps_file):
         assert run(["graph", two_swaps_file, "--pair", "3,3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: base pair points must be distinct\n"
 
     def test_pair_out_of_range_is_input_error(self, capsys, two_swaps_file):
-        assert run(["futility", two_swaps_file, "--pair", "1,9"]) == 2
+        # every command rejects the pair in the library, the fast JSON run
+        # too, although it builds no graph
+        for argv in (
+            ["graph"],
+            ["refine"],
+            ["futility"],
+            ["futility", "--method", "fast", "--json"],
+        ):
+            assert run(argv + [two_swaps_file, "--pair", "1,9"]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err == "error: point 9 out of range 1..7\n", argv
 
     def test_help_exits_zero(self, capsys):
-        assert run(["--help"]) == 0
+        # argparse formats a command's help text only when it is asked for
+        for command in ([], ["orbits"], ["graph"], ["base-pairs"], ["futility"], ["refine"]):
+            assert run(command + ["--help"]) == 0, command
+            assert capsys.readouterr().out.startswith(
+                " ".join(["usage: orbgraph"] + command)
+            ), command
 
     def test_degree_above_cap_is_input_error(self, capsys):
         assert run(["orbits", "degree: 1000000000\n(1,2)\n"]) == 2

@@ -211,6 +211,33 @@ class TestTransitiveGroups:
         with pytest.raises(ValueError, match="transitive"):
             transitive_group_futility(two_swaps)
 
+    @pytest.mark.parametrize(
+        "build, args, futile",
+        [
+            (PermGroup, (1,), False),
+            (cyclic_group, (2,), True),
+            (cyclic_group, (30,), False),
+            (dihedral_group, (3,), True),
+            (dihedral_group, (64,), False),
+            (symmetric_group, (2,), True),
+            (symmetric_group, (24,), True),
+            (alternating_group, (3,), False),
+            (alternating_group, (21,), True),
+            (pgl2, (13,), True),
+            (wreath_group, (3, 4), False),
+            (wreath_group, (2, 5), False),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_builds_no_stabilizer_chain(self, monkeypatch, build, args, futile):
+        group = build(*args)
+
+        def no_chain(*_):
+            raise AssertionError("stabilizer chain built")
+
+        monkeypatch.setattr("orbgraph.perm._build_chain", no_chain)
+        assert transitive_group_futility(group) == futile
+
     def test_verdict_is_uniform_over_base_pairs(self, square_symmetries):
         expected = transitive_group_futility(square_symmetries)
         for pair in base_pairs_of(square_symmetries):

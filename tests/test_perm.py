@@ -372,13 +372,6 @@ class TestOrderedPartition:
         with pytest.raises(ValueError, match="empty"):
             OrderedPartition(3, [[1, 2, 3], []])
 
-    def test_refinement_predicate(self):
-        fine = OrderedPartition(4, [[1], [2], [3, 4]])
-        coarse = OrderedPartition(4, [[1, 2], [3, 4]])
-        assert fine.is_refinement_of(coarse)
-        assert not coarse.is_refinement_of(fine)
-        assert coarse.is_refinement_of(coarse)
-
 
 class TestPartitionStabilizerGenerators:
     def test_adjacent_transpositions(self):

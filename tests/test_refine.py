@@ -98,12 +98,14 @@ class TestRefineByGraph:
 
     def test_output_refines_input(self, corpus_sample):
         for group in corpus_sample[:20]:
-            unit = OrderedPartition.unit(group.degree)
+            orbits = group.orbit_partition()
             for pair in enumerate_base_pairs(group):
                 g = build_orbital_graph(group, *pair)
-                trace = refine_by_graph(unit, g)
-                assert trace.output_partition.is_refinement_of(unit)
-                assert trace.split_count == len(trace.output_partition.cells) - 1
+                trace = refine_by_graph(orbits, g)
+                cells = trace.output_partition.cells
+                for cell in cells:
+                    assert len({group.orbit(p) for p in cell}) == 1
+                assert trace.split_count == len(cells) - len(orbits.cells)
                 assert trace.rounds >= 1
 
     def test_fixpoint_is_idempotent(self, corpus_sample):
