@@ -9,7 +9,6 @@ from .futility import (
     ArcCountBounds,
     FutilityVerdict,
     arc_count_bounds,
-    find_arc_violation,
     is_futile_fast,
     is_futile_oracle,
     is_futile_structural,
@@ -35,7 +34,6 @@ from .perm import (
     load_group,
     parse_cycles,
     parse_group_text,
-    partition_stabilizer_generators,
 )
 from .refine import RefinementTrace, refine_by_graph, select_useful_graphs, trace_record
 

@@ -12,11 +12,11 @@ from the definition directly.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .orbital import OrbitalGraph, _pair_orbit_sizes, build_orbital_graph
-from .perm import PermGroup, Permutation, partition_stabilizer_generators
+from .perm import PermGroup, Permutation
 
 SHAPE_COMPLETE = "complete-on-orbit"
 SHAPE_BIPARTITE = "complete-bipartite"
@@ -29,7 +29,7 @@ METHODS = ("fast", "structural", "oracle")
 class FutilityVerdict:
     """Outcome of the structural test: the shape found, the component it
     lives on, and for non-futile graphs a witness (g, arc) where g is an
-    orbit-partition stabilizer generator moving arc off the arc set."""
+    adjacent transposition of an orbit cell moving arc off the arc set."""
 
     futile: bool
     shape: str
@@ -37,35 +37,35 @@ class FutilityVerdict:
     witness: tuple[Permutation, tuple[int, int]] | None
 
 
-def find_arc_violation(graph: OrbitalGraph, gens):
-    """First generator that moves some arc to a non-arc, with that arc.
-
-    Generators are scanned in the given order and arcs lexicographically,
-    so the witness is deterministic. A bijection maps the finite arc set
-    into itself only by mapping it onto itself, so one forward sweep over
-    the arcs decides preservation.
-    """
-    for g in gens:
-        im = g.images
-        for x, y in graph.arcs:
-            if (im[x - 1], im[y - 1]) not in graph.arc_set:
-                return g, (x, y)
-    return None
-
-
-# each group's orbit-partition stabilizer generators, dropped with the group
-_stabilizer_gens = weakref.WeakKeyDictionary()
-
-
 def _witness(graph: OrbitalGraph, group: PermGroup):
-    """find_arc_violation over the group's orbit-partition stabilizer
-    generators, built on its first search; a racing thread at worst builds
-    an equal list."""
-    gens = _stabilizer_gens.get(group)
-    if gens is None:
-        gens = partition_stabilizer_generators(group.orbit_partition())
-        _stabilizer_gens[group] = gens
-    return find_arc_violation(graph, gens)
+    """First adjacent transposition (a, b) of an orbit cell, in cell order,
+    that moves some arc off the arc set, with the least such arc.
+
+    These transpositions generate the orbit-partition stabilizer, and one
+    fixes every arc that avoids a and b, so only the arcs at a or b are
+    read. When a and b have equal neighbour lists they are not neighbours,
+    since arcs are never loops, and the swap fixes the graph.
+    """
+    out_adj, in_adj, arc_set = graph.out_adj, graph.in_adj, graph.arc_set
+    for cell in group.orbit_partition().cells:
+        for a, b in pairwise(cell):
+            if out_adj[a - 1] == out_adj[b - 1] and in_adj[a - 1] == in_adj[b - 1]:
+                continue
+            moved = []
+            for p, q in ((a, b), (b, a)):
+                # the swap sends p to q, and a neighbour of p, never p
+                # itself, to p if it is q and to itself otherwise
+                moved += [
+                    (p, y) for y in out_adj[p - 1] if (q, p if y == q else y) not in arc_set
+                ]
+                moved += [
+                    (x, p) for x in in_adj[p - 1] if (p if x == q else x, q) not in arc_set
+                ]
+            if moved:
+                images = list(range(1, graph.degree + 1))
+                images[a - 1], images[b - 1] = b, a
+                return Permutation(images), min(moved)
+    return None
 
 
 def is_futile_fast(group: PermGroup, alpha: int, beta: int) -> bool:
@@ -88,7 +88,9 @@ def is_futile_structural(graph: OrbitalGraph, group: PermGroup) -> FutilityVerdi
     component exactly when tails equal heads and it has |tails|(|tails|-1)
     arcs, and complete bipartite from the tails to disjoint heads exactly
     when it has |tails||heads| arcs; the component is the union of the two
-    sets. Non-futile verdicts carry a deterministic witness.
+    sets. Non-futile verdicts carry the oracle's witness: the first
+    adjacent transposition of an orbit cell that breaks the graph, with
+    the least arc it moves off the arc set.
     """
     if graph.degree != group.degree:
         raise ValueError("graph and group degrees differ")
@@ -113,7 +115,10 @@ def is_futile_structural(graph: OrbitalGraph, group: PermGroup) -> FutilityVerdi
 def is_futile_oracle(graph: OrbitalGraph, group: PermGroup) -> bool:
     """Definitional test: does the orbit-partition stabilizer preserve the
     arc set? Arc preservation is closed under products and inverses, so
-    checking the stabilizer's generators decides the whole group."""
+    checking the stabilizer's generators, the adjacent transpositions of
+    each orbit cell, decides the whole group. Each is applied to the arcs
+    it can move, those at its two points, so time and memory stay linear
+    in the graph."""
     if graph.degree != group.degree:
         raise ValueError("graph and group degrees differ")
     return _witness(graph, group) is None

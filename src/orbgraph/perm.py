@@ -204,23 +204,6 @@ class OrderedPartition:
         return f"OrderedPartition({self.degree}, {self})"
 
 
-def partition_stabilizer_generators(partition: OrderedPartition) -> list[Permutation]:
-    """Adjacent transpositions within each cell.
-
-    Together they generate the direct product of the full symmetric groups
-    on the cells, which is the stabilizer of the ordered partition inside
-    the symmetric group on the whole domain.
-    """
-    gens = []
-    n = partition.degree
-    for cell in partition.cells:
-        for a, b in zip(cell, cell[1:]):
-            images = list(range(1, n + 1))
-            images[a - 1], images[b - 1] = b, a
-            gens.append(Permutation._unchecked(tuple(images)))
-    return gens
-
-
 class _ChainLevel:
     """One level of a stabilizer chain: a base point, the strong generators
     attached at this level, and a transversal u[x] with point^u = x."""

@@ -15,7 +15,6 @@ from orbgraph.perm import (
     PermGroup,
     Permutation,
     parse_cycles,
-    partition_stabilizer_generators,
 )
 from orbgraph.refine import RefinementTrace
 
@@ -169,6 +168,39 @@ def brute_stabilizer(elements, point) -> set[Permutation]:
 
 def brute_arcs(elements, alpha, beta) -> tuple[tuple[int, int], ...]:
     return tuple(sorted({(e.apply(alpha), e.apply(beta)) for e in elements}))
+
+
+def partition_stabilizer_generators(partition: OrderedPartition) -> list[Permutation]:
+    """Adjacent transpositions within each cell.
+
+    Together they generate the direct product of the full symmetric groups
+    on the cells, which is the stabilizer of the ordered partition inside
+    the symmetric group on the whole domain.
+    """
+    gens = []
+    n = partition.degree
+    for cell in partition.cells:
+        for a, b in zip(cell, cell[1:]):
+            images = list(range(1, n + 1))
+            images[a - 1], images[b - 1] = b, a
+            gens.append(Permutation._unchecked(tuple(images)))
+    return gens
+
+
+def find_arc_violation(graph, gens):
+    """First generator that moves some arc to a non-arc, with that arc.
+
+    Generators are scanned in the given order and arcs lexicographically,
+    so the witness is deterministic. A bijection maps the finite arc set
+    into itself only by mapping it onto itself, so one forward sweep over
+    the arcs decides preservation.
+    """
+    for g in gens:
+        im = g.images
+        for x, y in graph.arcs:
+            if (im[x - 1], im[y - 1]) not in graph.arc_set:
+                return g, (x, y)
+    return None
 
 
 def brute_futile(graph, group) -> bool:

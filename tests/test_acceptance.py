@@ -14,7 +14,6 @@ import pytest
 
 from orbgraph.futility import (
     arc_count_bounds,
-    find_arc_violation,
     is_futile_fast,
     is_futile_oracle,
     is_futile_structural,
@@ -28,11 +27,16 @@ from orbgraph.orbital import (
     isolated_vertices,
     weak_components,
 )
-from orbgraph.perm import OrderedPartition, PermGroup, partition_stabilizer_generators
+from orbgraph.perm import OrderedPartition, PermGroup
 from orbgraph.refine import refine_by_graph
 
 from conftest import CorpusConfig
-from support import arc_mapping_element, components_pairwise_isomorphic, group_from
+from support import (
+    arc_mapping_element,
+    components_pairwise_isomorphic,
+    find_arc_violation,
+    group_from,
+)
 
 
 def criterion(label):

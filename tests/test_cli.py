@@ -297,11 +297,9 @@ class TestExitCodes:
         )
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
-        # with no orbit-stabilizer generators the structural test finds no
-        # witness for a graph it classified non-futile
-        monkeypatch.setattr(
-            "orbgraph.futility.partition_stabilizer_generators", lambda partition: []
-        )
+        # with no witness the structural test contradicts its own
+        # non-futile classification
+        monkeypatch.setattr("orbgraph.futility._witness", lambda graph, group: None)
         code = run(["futility", "degree: 4\n(1,2,3,4)", "--method", "all", "--json"])
         assert code == 3
         err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 """The three futility routes, the counting bounds, and the transitive case."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from orbgraph.futility import (
     SHAPE_COMPLETE,
     SHAPE_NONE,
     arc_count_bounds,
-    find_arc_violation,
     is_futile_fast,
     is_futile_oracle,
     is_futile_structural,
@@ -18,7 +18,7 @@ from orbgraph.futility import (
     verdict_record,
 )
 from orbgraph.orbital import arc_count_formula, build_orbital_graph, enumerate_base_pairs
-from orbgraph.perm import PermGroup, partition_stabilizer_generators
+from orbgraph.perm import PermGroup, Permutation
 
 from support import (
     all_elements,
@@ -29,8 +29,10 @@ from support import (
     cyclic_group,
     dihedral_group,
     disjoint_symmetric_groups,
+    find_arc_violation,
     group_from,
     groups_st,
+    partition_stabilizer_generators,
     pgl2,
     product_action_group,
     symmetric_group,
@@ -145,6 +147,27 @@ class TestOracle:
     def test_generators_of_the_group_never_violate(self, two_triangles):
         g = build_orbital_graph(two_triangles, 1, 2)
         assert find_arc_violation(g, two_triangles.generators) is None
+
+    @pytest.mark.parametrize("fixed_point", [True, False], ids=["futile", "not-futile"])
+    def test_memory_grows_linearly(self, fixed_point):
+        # C_n plus a fixed point with pair (1, n+1) is futile, C_n with pair
+        # (1, 2) is not. A search holding one degree-n permutation per orbit
+        # transposition grows 16x from n = 300 to 1200 and a linear one 4x,
+        # or up to 8x where it builds a witness, since CPython shares the
+        # ints up to 256 and so allocates few of them at n = 300
+        def peak(n):
+            images = [x % n + 1 for x in range(1, n + 1)] + ([n + 1] if fixed_point else [])
+            group = PermGroup(len(images), [Permutation(images)])
+            graph = build_orbital_graph(group, 1, n + 1 if fixed_point else 2)
+            group.orbit_partition()
+            tracemalloc.start()
+            try:
+                assert is_futile_oracle(graph, group) == fixed_point
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1200) < 8 * peak(300)
 
 
 class TestStabilizerTransitivity:
@@ -362,3 +385,40 @@ def test_formula_families(build, args, pairs, futile):
         assert arc_count_formula(group, alpha, beta) == len(g.arcs)
         verdicts.append(fast)
     assert sum(verdicts) == futile
+
+
+def _reference_groups(corpus):
+    yield from corpus
+    rng = random.Random(1)
+    for _ in range(200):
+        degree = rng.randint(6, 30)
+        yield block_preserving_group(rng, degree, rng.randint(1, 3), rng.randint(2, 6))
+    for n in range(2, 40):
+        yield cyclic_group(n)
+        yield dihedral_group(n)
+    yield from map(symmetric_group, range(3, 9))
+    yield from (wreath_group(3, 3), wreath_group(4, 4), pgl2(13))
+
+
+def test_witness_equals_reference_sweep(corpus):
+    # the library applies each adjacent transposition of an orbit cell to
+    # the arcs at its two points; the reference applies each to every arc
+    swept = futile = 0
+    for group in _reference_groups(corpus):
+        gens = partition_stabilizer_generators(group.orbit_partition())
+        for alpha, beta in enumerate_base_pairs(group):
+            g = build_orbital_graph(group, alpha, beta)
+            expected = find_arc_violation(g, gens)
+            assert is_futile_structural(g, group).witness == expected
+            record = verdict_record(group, alpha, beta, "oracle", g)["witness"]
+            if expected is None:
+                assert record is None
+                futile += 1
+            else:
+                perm, arc = expected
+                assert record == {
+                    "permutation_cycles": perm.cycle_string(),
+                    "violated_arc": list(arc),
+                }
+            swept += 1
+    assert swept > 10000 and 0 < futile < swept

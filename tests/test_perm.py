@@ -15,7 +15,6 @@ from orbgraph.perm import (
     Permutation,
     parse_cycles,
     parse_group_text,
-    partition_stabilizer_generators,
 )
 
 from support import (
@@ -28,6 +27,7 @@ from support import (
     group_from,
     group_from_maps,
     groups_st,
+    partition_stabilizer_generators,
     permutations_st,
     pgl2,
     symmetric_group,
