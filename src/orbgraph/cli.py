@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .futility import METHODS, verdict_record
+from .futility import METHODS, verdict_records
 from .orbital import (
     build_orbital_graph,
     enumerate_base_pairs,
@@ -96,7 +96,7 @@ def _futility_records(group, alpha, beta, methods, table):
     graph = None
     if table or any(m != "fast" for m in methods):
         graph = build_orbital_graph(group, alpha, beta)
-    return [verdict_record(group, alpha, beta, m, graph) for m in methods], graph
+    return verdict_records(group, alpha, beta, methods, graph), graph
 
 
 def _cmd_futility(args) -> int:

@@ -54,13 +54,16 @@ def _witness(graph: OrbitalGraph, group: PermGroup):
             moved = []
             for p, q in ((a, b), (b, a)):
                 # the swap sends p to q, and a neighbour of p, never p
-                # itself, to p if it is q and to itself otherwise
-                moved += [
-                    (p, y) for y in out_adj[p - 1] if (q, p if y == q else y) not in arc_set
-                ]
-                moved += [
-                    (x, p) for x in in_adj[p - 1] if (p if x == q else x, q) not in arc_set
-                ]
+                # itself, to p if it is q and to itself otherwise; each
+                # list is sorted, so its first moved arc is its least
+                for y in out_adj[p - 1]:
+                    if (q, p if y == q else y) not in arc_set:
+                        moved.append((p, y))
+                        break
+                for x in in_adj[p - 1]:
+                    if (p if x == q else x, q) not in arc_set:
+                        moved.append((x, p))
+                        break
             if moved:
                 images = list(range(1, graph.degree + 1))
                 images[a - 1], images[b - 1] = b, a
@@ -160,46 +163,56 @@ def transitive_group_futility(group: PermGroup) -> bool:
 
 
 def verdict_record(group, alpha, beta, method, graph=None) -> dict:
-    """One JSON-ready verdict for a single method.
+    """One JSON-ready verdict for a single method; see verdict_records."""
+    return verdict_records(group, alpha, beta, [method], graph)[0]
+
+
+def verdict_records(group, alpha, beta, methods, graph=None) -> list[dict]:
+    """JSON-ready verdicts of the given methods on one base pair.
 
     Shapes for the fast and oracle methods come from the case split: a
     futile pair with beta in alpha's orbit (equivalently a self-paired
     futile graph) is the complete case, any other futile pair the bipartite
-    one. The oracle's verdict and witness come from the same witness search
-    as the structural test's.
+    one. The oracle shares the structural test's witness search, so it
+    reuses a witness that test found; after a futile structural verdict,
+    which needs no search, or without one, it searches on its own.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+    if unknown := [m for m in methods if m not in METHODS]:
+        raise ValueError(f"unknown method {unknown[0]!r}")
     sizes = _pair_orbit_sizes(group, alpha, beta)
     n, k, _, same_orbit = sizes
     bounds = _bounds(sizes)
-    witness, shape = None, SHAPE_NONE
-    if method == "fast":
-        futile = is_futile_fast(group, alpha, beta)
-        arc_count = n * k
-    else:
-        if graph is None:
-            graph = build_orbital_graph(group, alpha, beta)
-        arc_count = len(graph.arcs)
-        if method == "structural":
-            v = is_futile_structural(graph, group)
-            futile, shape, witness = v.futile, v.shape, v.witness
+    records, found = [], None
+    for method in methods:
+        witness, shape = None, SHAPE_NONE
+        if method == "fast":
+            futile = is_futile_fast(group, alpha, beta)
+            arc_count = n * k
         else:
-            witness = _witness(graph, group)
-            futile = witness is None
-    if futile and method != "structural":
-        shape = SHAPE_COMPLETE if same_orbit else SHAPE_BIPARTITE
-    return {
-        "base_pair": [alpha, beta],
-        "futile": futile,
-        "shape": shape,
-        "method": method,
-        "witness": None
-        if witness is None
-        else {
-            "permutation_cycles": witness[0].cycle_string(),
-            "violated_arc": list(witness[1]),
-        },
-        "arc_count": arc_count,
-        "thresholds": {"threshold": bounds.threshold, "exceeds": bounds.exceeds},
-    }
+            if graph is None:
+                graph = build_orbital_graph(group, alpha, beta)
+            arc_count = len(graph.arcs)
+            if method == "structural":
+                v = is_futile_structural(graph, group)
+                futile, shape, witness = v.futile, v.shape, v.witness
+                found = witness
+            else:
+                witness = found or _witness(graph, group)
+                futile = witness is None
+        if futile and method != "structural":
+            shape = SHAPE_COMPLETE if same_orbit else SHAPE_BIPARTITE
+        records.append({
+            "base_pair": [alpha, beta],
+            "futile": futile,
+            "shape": shape,
+            "method": method,
+            "witness": None
+            if witness is None
+            else {
+                "permutation_cycles": witness[0].cycle_string(),
+                "violated_arc": list(witness[1]),
+            },
+            "arc_count": arc_count,
+            "thresholds": {"threshold": bounds.threshold, "exceeds": bounds.exceeds},
+        })
+    return records

@@ -1,12 +1,15 @@
 """The three futility routes, the counting bounds, and the transitive case."""
 
+import dataclasses
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 
+from orbgraph import futility
 from orbgraph.futility import (
+    METHODS,
     SHAPE_BIPARTITE,
     SHAPE_COMPLETE,
     SHAPE_NONE,
@@ -16,6 +19,7 @@ from orbgraph.futility import (
     is_futile_structural,
     transitive_group_futility,
     verdict_record,
+    verdict_records,
 )
 from orbgraph.orbital import arc_count_formula, build_orbital_graph, enumerate_base_pairs
 from orbgraph.perm import PermGroup, Permutation
@@ -130,6 +134,19 @@ class TestStructural:
                     assert v.shape == expected
 
 
+class CountingSet(frozenset):
+    """An arc set that appends every membership query to lookups."""
+
+    def __new__(cls, arcs, lookups):
+        self = super().__new__(cls, arcs)
+        self.lookups = lookups
+        return self
+
+    def __contains__(self, arc):
+        self.lookups.append(arc)
+        return super().__contains__(arc)
+
+
 class TestOracle:
     def test_examples(self, two_swaps, two_triangles):
         assert is_futile_oracle(build_orbital_graph(two_swaps, 1, 7), two_swaps)
@@ -152,9 +169,9 @@ class TestOracle:
     def test_memory_grows_linearly(self, fixed_point):
         # C_n plus a fixed point with pair (1, n+1) is futile, C_n with pair
         # (1, 2) is not. A search holding one degree-n permutation per orbit
-        # transposition grows 16x from n = 300 to 1200 and a linear one 4x,
-        # or up to 8x where it builds a witness, since CPython shares the
-        # ints up to 256 and so allocates few of them at n = 300
+        # transposition grows 16x from n = 1000 to 4000 and a linear one 4x;
+        # both sizes lie well above the ints CPython caches (up to 256), so
+        # the witness's images are allocated at either size
         def peak(n):
             images = [x % n + 1 for x in range(1, n + 1)] + ([n + 1] if fixed_point else [])
             group = PermGroup(len(images), [Permutation(images)])
@@ -167,7 +184,24 @@ class TestOracle:
             finally:
                 tracemalloc.stop()
 
-        assert peak(1200) < 8 * peak(300)
+        assert peak(4000) < 8 * peak(1000)
+
+    def test_bipartite_futile_graphs_need_no_arc_lookups(self, corpus_sample):
+        # a futile bipartite graph is alpha's orbit x beta's orbit, so two
+        # points of one orbit cell have equal neighbour lists and the
+        # search settles every swap without reading the arc set
+        checked = 0
+        for group in corpus_sample:
+            for pair in enumerate_base_pairs(group):
+                g = build_orbital_graph(group, *pair)
+                if is_futile_structural(g, group).shape != SHAPE_BIPARTITE:
+                    continue
+                lookups = []
+                counted = dataclasses.replace(g, arc_set=CountingSet(g.arc_set, lookups))
+                assert is_futile_oracle(counted, group)
+                assert lookups == []
+                checked += 1
+        assert checked > 0
 
 
 class TestStabilizerTransitivity:
@@ -300,6 +334,20 @@ class TestVerdictRecord:
     def test_unknown_method(self, two_swaps):
         with pytest.raises(ValueError, match="method"):
             verdict_record(two_swaps, 1, 7, "guess")
+
+    def test_all_methods_search_each_graph_once(self, monkeypatch, corpus_sample):
+        # the records of all three methods equal the single-method records,
+        # and the oracle reuses a witness the structural test has found
+        searches = []
+        search = futility._witness
+        monkeypatch.setattr(futility, "_witness", lambda *a: searches.append(a) or search(*a))
+        for group in corpus_sample:
+            for alpha, beta in enumerate_base_pairs(group):
+                g = build_orbital_graph(group, alpha, beta)
+                searches.clear()
+                records = verdict_records(group, alpha, beta, METHODS, g)
+                assert len(searches) == 1
+                assert records == [verdict_record(group, alpha, beta, m, g) for m in METHODS]
 
 
 @given(groups_st(min_degree=3, max_degree=6))
