@@ -25,6 +25,8 @@ class Permutation:
         n = len(images)
         if n < 1:
             raise ValueError("degree must be at least 1")
+        if set(map(type, images)) != {int}:
+            raise ValueError(f"images {images!r} are not all integers")
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"images {images!r} are not a bijection of 1..{n}")
         self.degree = n
@@ -216,21 +218,44 @@ class _ChainLevel:
         self.transversal = transversal
 
 
-def _sift(levels: list[_ChainLevel], h: Permutation, start: int = 0):
-    """Divide transversal elements off h from level start down, until h
-    escapes a transversal or has passed every level. Returns the residue
-    and the index of the level it stopped at. A level whose point h fixes
-    is passed without multiplying, since its representative is the
-    identity."""
+def _inverse_table(images: tuple[int, ...], one: tuple[int, ...]) -> list[int]:
+    """Image table of the inverse of images, led by an unused 0 so that a
+    1-based image indexes it. Its entries are one's int objects, so a
+    product divided by it holds no ints of its own."""
+    inv = [0] * (len(images) + 1)
+    for pre, post in zip(one, images):
+        inv[post] = pre
+    return inv
+
+
+def _sift(levels: list[_ChainLevel], h: tuple[int, ...], start: int, inverses: dict):
+    """Divide transversal elements off the image table h from level start
+    down, until h escapes a transversal, becomes the identity or has
+    passed every level. Returns the residue and the index of the level it
+    stopped at, len(levels) once it is the identity. A level whose point h
+    fixes is passed without multiplying, since its representative is the
+    identity, and one tuple comparison after each division spots the
+    identity, which passes every remaining level.
+
+    inverses maps (level index, point) to the inverse table of that
+    transversal entry. A missing table is made on first use and stored,
+    so a caller that passes one dict to many sifts inverts each entry at
+    most once."""
+    one = levels[0].transversal[1].images
     for i in range(start, len(levels)):
         lvl = levels[i]
-        x = h.images[lvl.point - 1]
+        x = h[lvl.point - 1]
         if x == lvl.point:
             continue
         u = lvl.transversal.get(x)
         if u is None:
             return h, i
-        h = h * u.inverse()
+        inv = inverses.get((i, x))
+        if inv is None:
+            inv = inverses[i, x] = _inverse_table(u.images, one)
+        h = itemgetter(*h)(inv)
+        if h == one:
+            break
     return h, len(levels)
 
 
@@ -258,30 +283,40 @@ def _build_chain(degree: int, generators) -> list[_ChainLevel]:
     transversal is the orbit of i + 1 under the pointwise stabilizer of
     1..i. A residue that passes every level fixes every point and is the
     identity.
+
+    Products and residues are bare image tables; only the entries stored
+    as transversal elements or strong generators become Permutations.
+    Each transversal element is inverted at most once, on first use, and
+    the inverse tables are dropped on return, so the chain keeps none.
     """
     ident = Permutation.identity(degree)
     levels = [_ChainLevel(p, {p: ident}) for p in range(1, degree + 1)]
-    stack: list[tuple[int, Permutation]] = []
+    inverses: dict[tuple[int, int], list[int]] = {}
+    stack: list[tuple[int, tuple[int, ...]]] = []
 
     def add(i, h):
         levels[i].gens.append(h)
-        stack.extend((i, u * h) for u in levels[i].transversal.values())
+        table = (0,) + h.images
+        stack.extend((i, itemgetter(*u.images)(table)) for u in levels[i].transversal.values())
 
     for g in generators:
-        if _sift(levels, g)[1] < degree:
+        if _sift(levels, g.images, 0, inverses)[1] < degree:
             add(0, g)
         while stack:
             i, w = stack.pop()
             lvl = levels[i]
-            x = w.images[lvl.point - 1]
+            x = w[lvl.point - 1]
             u = lvl.transversal.get(x)
             if u is None:
-                lvl.transversal[x] = w
-                stack.extend((i, w * s) for s in lvl.gens)
-            elif u != w:  # else a trivial Schreier generator, as on every tree edge
-                h, m = _sift(levels, w * u.inverse(), i + 1)
+                lvl.transversal[x] = Permutation._unchecked(w)
+                get = itemgetter(*w)
+                stack.extend((i, get((0,) + s.images)) for s in lvl.gens)
+            elif u.images != w:  # else a trivial Schreier generator, as on every tree edge
+                # sifting from level i divides by u first, giving the
+                # Schreier generator w * u^-1 from level i + 1 on
+                h, m = _sift(levels, w, i, inverses)
                 if m < degree:
-                    add(i + 1, h)
+                    add(i + 1, Permutation._unchecked(h))
     return levels
 
 
@@ -344,7 +379,8 @@ class PermGroup:
     def __contains__(self, perm: Permutation) -> bool:
         if not isinstance(perm, Permutation) or perm.degree != self.degree:
             return False
-        return _sift(self.chain, perm)[1] == self.degree
+        # a fresh dict: this query inverts at most one entry per level and keeps none
+        return _sift(self.chain, perm.images, 0, {})[1] == self.degree
 
     def orbit(self, point: int) -> tuple[int, ...]:
         """Sorted orbit of a point: its cell of the orbit partition."""
@@ -393,30 +429,50 @@ class PermGroup:
         u_x * s * u_{x^s}^-1 over orbit points x and generators s generate
         the stabilizer. Identities and repeats are dropped and the rest
         kept in tree order, so the generators are deterministic. No
-        stabilizer chain is built."""
+        stabilizer chain is built.
+
+        The tree holds bare image tables and labels each point's edge from
+        its parent. A tree edge gives u_x * s = u_{x^s} by construction,
+        so it is skipped without a product; each u_y is inverted at most
+        once, and only the kept generators become Permutations."""
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")
         cached = self._stabilizers.get(point)
         if cached is not None:
             return cached
-        # breadth first, so that each u_x is a shortest word in the generators
-        tree = {point: Permutation.identity(self.degree)}
-        queue = deque([point])
-        while queue:
-            x = queue.popleft()
-            ux = tree[x]
-            for s in self.generators:
-                y = s.images[x - 1]
-                if y not in tree:
-                    tree[y] = ux * s
-                    queue.append(y)
-        gens: dict[Permutation, None] = {}
-        for x, ux in tree.items():
-            for s in self.generators:
-                us, uy = ux * s, tree[s.images[x - 1]]
-                if us != uy:
-                    gens.setdefault(us * uy.inverse())
-        stab = PermGroup(self.degree, gens)
+        gens: dict[tuple[int, ...], None] = {}
+        # at degree 1 the group is trivial, and itemgetter with one index
+        # would return a scalar, not an image table
+        if self.degree > 1:
+            one = Permutation.identity(self.degree).images
+            tables = [(0,) + s.images for s in self.generators]
+            # breadth first, so that each u_x is a shortest word in the generators
+            tree = {point: one}
+            edge: dict[int, tuple[int, int]] = {}  # y -> (x, k) with y = x^s_k
+            queue = deque([point])
+            while queue:
+                x = queue.popleft()
+                get = itemgetter(*tree[x])
+                for k, s in enumerate(self.generators):
+                    y = s.images[x - 1]
+                    if y not in tree:
+                        tree[y] = get(tables[k])
+                        edge[y] = (x, k)
+                        queue.append(y)
+            inverses: dict[int, list[int]] = {}
+            for x, ux in tree.items():
+                get = itemgetter(*ux)
+                for k, s in enumerate(self.generators):
+                    y = s.images[x - 1]
+                    if edge.get(y) == (x, k):
+                        continue
+                    us, uy = get(tables[k]), tree[y]
+                    if us != uy:
+                        inv = inverses.get(y)
+                        if inv is None:
+                            inv = inverses[y] = _inverse_table(uy, one)
+                        gens.setdefault(itemgetter(*us)(inv))
+        stab = PermGroup(self.degree, map(Permutation._unchecked, gens))
         self._stabilizers.setdefault(point, stab)
         return self._stabilizers[point]
 

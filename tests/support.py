@@ -5,12 +5,14 @@ The brute functions enumerate group elements outright, so they stay
 independent of the stabilizer-chain machinery they are used to check.
 """
 
+from collections import deque
 from math import factorial
 
 import hypothesis.strategies as st
 
 from orbgraph.orbital import weak_components
 from orbgraph.perm import (
+    _ChainLevel,
     OrderedPartition,
     PermGroup,
     Permutation,
@@ -330,6 +332,83 @@ def dense_refine(partition, graph) -> RefinementTrace:
         rounds,
         len(output.cells) - len(partition.cells),
     )
+
+
+def reference_sift(levels, h: Permutation, start: int = 0):
+    """Divide transversal elements off h from level start down, until h
+    escapes a transversal or has passed every level. Returns the residue
+    and the index of the level it stopped at. A level whose point h fixes
+    is passed without multiplying, since its representative is the
+    identity.
+
+    Kept as the reference for perm._sift, in Permutation arithmetic with
+    one inverse per division and no early stop at the identity."""
+    for i in range(start, len(levels)):
+        lvl = levels[i]
+        x = h.images[lvl.point - 1]
+        if x == lvl.point:
+            continue
+        u = lvl.transversal.get(x)
+        if u is None:
+            return h, i
+        h = h * u.inverse()
+    return h, len(levels)
+
+
+def reference_chain(degree: int, generators) -> list[_ChainLevel]:
+    """Deterministic incremental Schreier-Sims with the fixed base
+    1, 2, ..., degree, kept as the reference for perm._build_chain: the
+    same worklist order, in Permutation arithmetic, so that both give the
+    same transversals and strong generators in the same order."""
+    ident = Permutation.identity(degree)
+    levels = [_ChainLevel(p, {p: ident}) for p in range(1, degree + 1)]
+    stack: list[tuple[int, Permutation]] = []
+
+    def add(i, h):
+        levels[i].gens.append(h)
+        stack.extend((i, u * h) for u in levels[i].transversal.values())
+
+    for g in generators:
+        if reference_sift(levels, g)[1] < degree:
+            add(0, g)
+        while stack:
+            i, w = stack.pop()
+            lvl = levels[i]
+            x = w.images[lvl.point - 1]
+            u = lvl.transversal.get(x)
+            if u is None:
+                lvl.transversal[x] = w
+                stack.extend((i, w * s) for s in lvl.gens)
+            elif u != w:  # else a trivial Schreier generator, as on every tree edge
+                h, m = reference_sift(levels, w * u.inverse(), i + 1)
+                if m < degree:
+                    add(i + 1, h)
+    return levels
+
+
+def reference_stabilizer_generators(group, point) -> list[Permutation]:
+    """Schreier generators of a point stabilizer from a breadth-first tree
+    of Permutations, every product formed, identities and repeats
+    dropped: the reference for PermGroup.point_stabilizer's generators
+    and their order."""
+    # breadth first, so that each u_x is a shortest word in the generators
+    tree = {point: Permutation.identity(group.degree)}
+    queue = deque([point])
+    while queue:
+        x = queue.popleft()
+        ux = tree[x]
+        for s in group.generators:
+            y = s.images[x - 1]
+            if y not in tree:
+                tree[y] = ux * s
+                queue.append(y)
+    gens: dict[Permutation, None] = {}
+    for x, ux in tree.items():
+        for s in group.generators:
+            us, uy = ux * s, tree[s.images[x - 1]]
+            if us != uy:
+                gens.setdefault(us * uy.inverse())
+    return list(PermGroup(group.degree, gens).generators)
 
 
 def permutations_st(min_degree=1, max_degree=8):

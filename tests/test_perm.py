@@ -1,6 +1,7 @@
 """Permutation arithmetic, parsing, orbits, stabilizer chains, partitions."""
 
 import random
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from math import factorial
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import orbgraph.perm
 from orbgraph.perm import (
     MAX_DEGREE,
     OrderedPartition,
@@ -20,6 +22,7 @@ from orbgraph.perm import (
 from support import (
     all_elements,
     alternating_group,
+    block_preserving_group,
     brute_orbit,
     brute_stabilizer,
     brute_transitivity_degree,
@@ -30,6 +33,8 @@ from support import (
     partition_stabilizer_generators,
     permutations_st,
     pgl2,
+    reference_chain,
+    reference_stabilizer_generators,
     symmetric_group,
     wreath_group,
 )
@@ -125,6 +130,13 @@ class TestPermutationArithmetic:
             Permutation([0, 1])
         with pytest.raises(ValueError):
             Permutation([])
+
+    @pytest.mark.parametrize("images", [[2.0, 1.0], [1, 2.0], ["1"], ["2", "1"], [True]])
+    def test_images_must_be_ints(self, images):
+        # image tables index one another, so an image must be an int and
+        # not merely compare equal to one
+        with pytest.raises(ValueError, match="not all integers"):
+            Permutation(images)
 
     def test_apply_out_of_range(self):
         p = Permutation.identity(3)
@@ -296,6 +308,99 @@ class TestChainInvariants:
         check_chain(group)
         assert group.order() == 1200
         assert group.transitivity_degree() == 1
+
+
+def relabelled(group, rng):
+    """The group conjugated by a seeded random relabelling of its points."""
+    sigma = list(range(1, group.degree + 1))
+    rng.shuffle(sigma)
+
+    def conjugate(g):
+        images = [0] * group.degree
+        for x, y in enumerate(g.images):
+            images[sigma[x] - 1] = sigma[y - 1]
+        return Permutation(images)
+
+    return PermGroup(group.degree, map(conjugate, group.generators))
+
+
+def reference_cases():
+    rng = random.Random(12)
+    for name, build in FAMILIES.items():
+        yield pytest.param(build(), id=name)
+        yield pytest.param(relabelled(build(), rng), id=f"{name} relabelled")
+    for k in range(10):
+        degree = rng.randint(6, 24)
+        group = block_preserving_group(rng, degree, rng.randint(1, 3), rng.randint(2, 4))
+        yield pytest.param(group, id=f"blocks {k}")
+    yield pytest.param(PermGroup(1), id="trivial 1")
+    yield pytest.param(PermGroup(1, [Permutation([1])] * 2), id="trivial 1, two generators")
+    yield pytest.param(PermGroup(2), id="trivial 2")
+    yield pytest.param(PermGroup.symmetric(2), id="S_2")
+    yield pytest.param(group_from(4, "(1,2)", "()", "(1,2)"), id="repeated generators")
+
+
+def assert_matches_reference(group):
+    """The chain and every point stabilizer compose bare image tables;
+    tests/support.py keeps the same constructions in Permutation
+    arithmetic. Both must give the same entries in the same order."""
+    expected = reference_chain(group.degree, group.generators)
+    assert len(group.chain) == len(expected)
+    order = 1
+    for lvl, ref in zip(group.chain, expected):
+        assert lvl.point == ref.point
+        assert [(x, u.images) for x, u in lvl.transversal.items()] == [
+            (x, u.images) for x, u in ref.transversal.items()
+        ]
+        assert [h.images for h in lvl.gens] == [h.images for h in ref.gens]
+        order *= len(ref.transversal)
+    assert group.order() == order
+    for point in range(1, group.degree + 1):
+        assert group.point_stabilizer(point).generators == tuple(
+            reference_stabilizer_generators(group, point)
+        )
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("group", reference_cases())
+    def test_groups(self, group):
+        assert_matches_reference(group)
+
+    def test_corpus(self, corpus_sample):
+        for group in corpus_sample:
+            assert_matches_reference(group)
+
+    def test_each_transversal_element_inverted_at_most_once(self, monkeypatch):
+        # S_24 has 300 transversal entries; a fresh inverse for every
+        # division would make 5304 inversions
+        calls = []
+        for owner, name in [(orbgraph.perm, "_inverse_table"), (Permutation, "inverse")]:
+            real = getattr(owner, name)
+
+            def counted(*args, real=real):
+                calls.append(1)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        group = PermGroup.symmetric(24)
+        assert group.order() == factorial(24)
+        assert 0 < len(calls) <= sum(len(lvl.transversal) for lvl in group.chain) == 300
+
+    def test_chain_keeps_no_inverses(self):
+        # what the chain retains is its transversals and strong generators,
+        # as much as the reference chain retains, and no inverse tables
+        group = dihedral_group(400)
+        tracemalloc.start()
+        try:
+            expected = reference_chain(group.degree, group.generators)
+            reference_size = tracemalloc.get_traced_memory()[0]
+            del expected
+            base = tracemalloc.get_traced_memory()[0]
+            group.order()
+            size = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert size <= 1.2 * reference_size
 
 
 class TestTransitivityDegree:
