@@ -6,7 +6,6 @@ the futility tests and the refiner need.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 from .perm import OrderedPartition, PermGroup
@@ -47,14 +46,13 @@ def build_orbital_graph(group: PermGroup, alpha: int, beta: int) -> OrbitalGraph
     check_base_pair(n, alpha, beta)
     images = [g.images for g in group.generators]
     seen = {(alpha, beta)}
-    queue = deque(seen)
-    while queue:
-        x, y = queue.popleft()
+    pairs = [(alpha, beta)]  # the visit order, which grows while it is read
+    for x, y in pairs:
         for im in images:
             pair = (im[x - 1], im[y - 1])
             if pair not in seen:
                 seen.add(pair)
-                queue.append(pair)
+                pairs.append(pair)
     # lexicographic order puts every neighbor list in ascending order as it fills
     arcs = tuple(sorted(seen))
     out = [[] for _ in range(n)]
@@ -111,14 +109,11 @@ def weak_components(graph: OrbitalGraph) -> OrderedPartition:
             continue
         seen[start - 1] = True
         comp = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
+        for v in comp:
             for w in graph.out_adj[v - 1] + graph.in_adj[v - 1]:
                 if not seen[w - 1]:
                     seen[w - 1] = True
                     comp.append(w)
-                    queue.append(w)
         (big if len(comp) > 1 else single).append(sorted(comp))
     return OrderedPartition(n, big + single)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 import threading
-from collections import deque
 from operator import itemgetter
 
 
@@ -396,21 +395,22 @@ class PermGroup:
         itself injectively, hence onto itself."""
         if self._orbit_partition is None:
             images = [g.images for g in self.generators]
-            orbit_of: list[tuple[int, ...] | None] = [None] * self.degree
+            orbit_of: list[tuple[int, ...] | list[int] | None] = [None] * self.degree
             cells = []
             for p in range(1, self.degree + 1):
                 if orbit_of[p - 1] is not None:
                     continue
-                seen = {p}
-                queue = deque([p])
-                while queue:
-                    x = queue.popleft()
+                # orbit_of marks a point found by pointing it at the open
+                # orbit's list, which grows while it is read
+                orbit = [p]
+                orbit_of[p - 1] = orbit
+                for x in orbit:
                     for im in images:
                         y = im[x - 1]
-                        if y not in seen:
-                            seen.add(y)
-                            queue.append(y)
-                cell = tuple(sorted(seen))
+                        if orbit_of[y - 1] is None:
+                            orbit_of[y - 1] = orbit
+                            orbit.append(y)
+                cell = tuple(sorted(orbit))
                 for q in cell:
                     orbit_of[q - 1] = cell
                 cells.append(cell)
@@ -431,10 +431,12 @@ class PermGroup:
         kept in tree order, so the generators are deterministic. No
         stabilizer chain is built.
 
-        The tree holds bare image tables and labels each point's edge from
-        its parent. A tree edge gives u_x * s = u_{x^s} by construction,
-        so it is skipped without a product; each u_y is inverted at most
-        once, and only the kept generators become Permutations."""
+        One breadth-first pass over the orbit builds the tree of bare image
+        tables and collects the generators at once: the product u_x * s
+        that first reaches a point y becomes u_y, so a tree edge gives the
+        identity and is never kept, and every later product reaching y is
+        divided by u_y. Each u_y is inverted at most once, and only the
+        kept generators become Permutations."""
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")
         cached = self._stabilizers.get(point)
@@ -446,28 +448,20 @@ class PermGroup:
         if self.degree > 1:
             one = Permutation.identity(self.degree).images
             tables = [(0,) + s.images for s in self.generators]
-            # breadth first, so that each u_x is a shortest word in the generators
+            # breadth first, so that each u_x is a shortest word in the
+            # generators; order grows while it is read
             tree = {point: one}
-            edge: dict[int, tuple[int, int]] = {}  # y -> (x, k) with y = x^s_k
-            queue = deque([point])
-            while queue:
-                x = queue.popleft()
-                get = itemgetter(*tree[x])
-                for k, s in enumerate(self.generators):
-                    y = s.images[x - 1]
-                    if y not in tree:
-                        tree[y] = get(tables[k])
-                        edge[y] = (x, k)
-                        queue.append(y)
+            order = [point]
             inverses: dict[int, list[int]] = {}
-            for x, ux in tree.items():
-                get = itemgetter(*ux)
-                for k, s in enumerate(self.generators):
+            for x in order:
+                get = itemgetter(*tree[x])
+                for s, table in zip(self.generators, tables):
                     y = s.images[x - 1]
-                    if edge.get(y) == (x, k):
-                        continue
-                    us, uy = get(tables[k]), tree[y]
-                    if us != uy:
+                    us, uy = get(table), tree.get(y)
+                    if uy is None:
+                        tree[y] = us
+                        order.append(y)
+                    elif us != uy:
                         inv = inverses.get(y)
                         if inv is None:
                             inv = inverses[y] = _inverse_table(uy, one)

@@ -386,6 +386,22 @@ class TestMatchesReference:
         assert group.order() == factorial(24)
         assert 0 < len(calls) <= sum(len(lvl.transversal) for lvl in group.chain) == 300
 
+    def test_each_tree_element_inverted_at_most_once(self, monkeypatch):
+        # ten random generators of degree 50 reach each point about ten
+        # times; a fresh inverse for every division would make 451
+        rng = random.Random(50)
+        group = PermGroup(50, [Permutation(rng.sample(range(1, 51), 50)) for _ in range(10)])
+        calls = []
+        real = orbgraph.perm._inverse_table
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(orbgraph.perm, "_inverse_table", counted)
+        group.point_stabilizer(1)
+        assert 0 < len(calls) <= len(group.orbit(1))
+
     def test_chain_keeps_no_inverses(self):
         # what the chain retains is its transversals and strong generators,
         # as much as the reference chain retains, and no inverse tables
