@@ -72,11 +72,9 @@ def _cmd_graph(args) -> int:
     elif args.json:
         print(graph_to_json(graph))
     else:
+        arcs = graph.arcs
         print(f"base pair: ({alpha},{beta})")
-        print(
-            f"arcs ({len(graph.arcs)}): "
-            + " ".join(f"({x},{y})" for x, y in graph.arcs)
-        )
+        print(f"arcs ({len(arcs)}): " + " ".join(f"({x},{y})" for x, y in arcs))
         iso = isolated_vertices(graph)
         print(f"isolated ({len(iso)}):" + ("".join(f" {v}" for v in iso) or " -"))
         print(f"self-paired: {'yes' if is_self_paired(graph) else 'no'}")

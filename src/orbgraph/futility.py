@@ -46,7 +46,7 @@ def _witness(graph: OrbitalGraph, group: PermGroup):
     read. When a and b have equal neighbour lists they are not neighbours,
     since arcs are never loops, and the swap fixes the graph.
     """
-    out_adj, in_adj, arc_set = graph.out_adj, graph.in_adj, graph.arc_set
+    out_adj, in_adj = graph.out_adj, graph.in_adj
     for cell in group.orbit_partition().cells:
         for a, b in pairwise(cell):
             if out_adj[a - 1] == out_adj[b - 1] and in_adj[a - 1] == in_adj[b - 1]:
@@ -54,14 +54,16 @@ def _witness(graph: OrbitalGraph, group: PermGroup):
             moved = []
             for p, q in ((a, b), (b, a)):
                 # the swap sends p to q, and a neighbour of p, never p
-                # itself, to p if it is q and to itself otherwise; each
-                # list is sorted, so its first moved arc is its least
+                # itself, to p if it is q and to itself otherwise; an arc
+                # stays when that image is q's neighbour, and each list is
+                # sorted, so its first moved arc is its least
+                q_out, q_in = set(out_adj[q - 1]), set(in_adj[q - 1])
                 for y in out_adj[p - 1]:
-                    if (q, p if y == q else y) not in arc_set:
+                    if (p if y == q else y) not in q_out:
                         moved.append((p, y))
                         break
                 for x in in_adj[p - 1]:
-                    if (p if x == q else x, q) not in arc_set:
+                    if (p if x == q else x) not in q_in:
                         moved.append((x, p))
                         break
             if moved:
@@ -80,12 +82,16 @@ def is_futile_fast(group: PermGroup, alpha: int, beta: int) -> bool:
     With beta outside, the graph is complete bipartite exactly when the
     stabilizer orbit of beta already covers beta's whole orbit.
     """
-    n, k, m, same_orbit = _pair_orbit_sizes(group, alpha, beta)
+    return _fast(_pair_orbit_sizes(group, alpha, beta))
+
+
+def _fast(sizes) -> bool:
+    n, k, m, same_orbit = sizes
     return k == (n - 1 if same_orbit else m)
 
 
 def is_futile_structural(graph: OrbitalGraph, group: PermGroup) -> FutilityVerdict:
-    """Classify the built graph from its sets of arc tails and heads.
+    """Classify the built graph from its arc tails and heads.
 
     Arcs are never loops, so the graph is the complete digraph on one
     component exactly when tails equal heads and it has |tails|(|tails|-1)
@@ -97,13 +103,13 @@ def is_futile_structural(graph: OrbitalGraph, group: PermGroup) -> FutilityVerdi
     """
     if graph.degree != group.degree:
         raise ValueError("graph and group degrees differ")
-    tails = {x for x, _ in graph.arcs}
-    heads = {y for _, y in graph.arcs}
-    count = len(graph.arcs)
+    tails = [x for x, adj in enumerate(graph.out_adj, 1) if adj]
+    heads = [y for y, adj in enumerate(graph.in_adj, 1) if adj]
+    count = sum(map(len, graph.out_adj))
     if tails == heads and count == len(tails) * (len(tails) - 1):
-        return FutilityVerdict(True, SHAPE_COMPLETE, tuple(sorted(tails)), None)
-    if not tails & heads and count == len(tails) * len(heads):
-        return FutilityVerdict(True, SHAPE_BIPARTITE, tuple(sorted(tails | heads)), None)
+        return FutilityVerdict(True, SHAPE_COMPLETE, tuple(tails), None)
+    if count == len(tails) * len(heads) and set(tails).isdisjoint(heads):
+        return FutilityVerdict(True, SHAPE_BIPARTITE, tuple(sorted(tails + heads)), None)
     witness = _witness(graph, group)
     if witness is None:
         # the classification above says some stabilizer element breaks the
@@ -186,12 +192,12 @@ def verdict_records(group, alpha, beta, methods, graph=None) -> list[dict]:
     for method in methods:
         witness, shape = None, SHAPE_NONE
         if method == "fast":
-            futile = is_futile_fast(group, alpha, beta)
+            futile = _fast(sizes)
             arc_count = n * k
         else:
             if graph is None:
                 graph = build_orbital_graph(group, alpha, beta)
-            arc_count = len(graph.arcs)
+            arc_count = sum(map(len, graph.out_adj))
             if method == "structural":
                 v = is_futile_structural(graph, group)
                 futile, shape, witness = v.futile, v.shape, v.witness

@@ -13,22 +13,24 @@ from .perm import OrderedPartition, PermGroup
 
 @dataclass(frozen=True, eq=False)
 class OrbitalGraph:
-    """Arc data for one orbital graph.
+    """One orbital graph, stored once, as its neighbour lists.
 
-    arcs is lexicographically sorted and duplicate free; out_adj and in_adj
-    are indexed by point - 1 and hold sorted neighbor tuples. Graphs built
-    by build_orbital_graph always contain their base pair as an arc.
+    out_adj and in_adj are indexed by point - 1 and hold sorted neighbour
+    tuples; arcs derives the lexicographically sorted arcs from out_adj.
+    Graphs built by build_orbital_graph always contain their base pair.
     """
 
     degree: int
     base_pair: tuple[int, int]
-    arcs: tuple[tuple[int, int], ...]
     out_adj: tuple[tuple[int, ...], ...]
     in_adj: tuple[tuple[int, ...], ...]
-    arc_set: frozenset[tuple[int, int]]
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((x, y) for x, heads in enumerate(self.out_adj, 1) for y in heads)
 
     def has_arc(self, x: int, y: int) -> bool:
-        return (x, y) in self.arc_set
+        return 1 <= x <= self.degree and y in self.out_adj[x - 1]
 
 
 def check_base_pair(degree: int, alpha: int, beta: int) -> None:
@@ -54,15 +56,13 @@ def build_orbital_graph(group: PermGroup, alpha: int, beta: int) -> OrbitalGraph
                 seen.add(pair)
                 pairs.append(pair)
     # lexicographic order puts every neighbor list in ascending order as it fills
-    arcs = tuple(sorted(seen))
+    pairs.sort()
     out = [[] for _ in range(n)]
     inn = [[] for _ in range(n)]
-    for x, y in arcs:
+    for x, y in pairs:
         out[x - 1].append(y)
         inn[y - 1].append(x)
-    return OrbitalGraph(
-        n, (alpha, beta), arcs, tuple(map(tuple, out)), tuple(map(tuple, inn)), frozenset(seen)
-    )
+    return OrbitalGraph(n, (alpha, beta), tuple(map(tuple, out)), tuple(map(tuple, inn)))
 
 
 def _pair_orbit_sizes(group: PermGroup, alpha: int, beta: int) -> tuple[int, int, int, bool]:
@@ -86,15 +86,12 @@ def is_self_paired(graph: OrbitalGraph) -> bool:
     """True when the reversed base pair is itself an arc, which makes the
     whole arc set closed under reversal."""
     alpha, beta = graph.base_pair
-    return (beta, alpha) in graph.arc_set
+    return graph.has_arc(beta, alpha)
 
 
 def isolated_vertices(graph: OrbitalGraph) -> tuple[int, ...]:
-    return tuple(
-        v
-        for v in range(1, graph.degree + 1)
-        if not graph.out_adj[v - 1] and not graph.in_adj[v - 1]
-    )
+    lists = zip(graph.out_adj, graph.in_adj)
+    return tuple(v for v, (out, inn) in enumerate(lists, 1) if not out and not inn)
 
 
 def weak_components(graph: OrbitalGraph) -> OrderedPartition:
@@ -140,11 +137,9 @@ def enumerate_base_pairs(group: PermGroup) -> list[tuple[int, int]]:
 
 def to_dot(graph: OrbitalGraph) -> str:
     """DOT text: isolated vertices as bare nodes, arcs in sorted order."""
-    lines = ["digraph orbital {"]
-    lines += [f"  {v};" for v in isolated_vertices(graph)]
-    lines += [f"  {x} -> {y};" for x, y in graph.arcs]
-    lines.append("}")
-    return "\n".join(lines)
+    isolated = [f"  {v};" for v in isolated_vertices(graph)]
+    arcs = [f"  {x} -> {y};" for x, y in graph.arcs]
+    return "\n".join(["digraph orbital {", *isolated, *arcs, "}"])
 
 
 def graph_to_json(graph: OrbitalGraph) -> str:

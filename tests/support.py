@@ -197,10 +197,12 @@ def find_arc_violation(graph, gens):
     into itself only by mapping it onto itself, so one forward sweep over
     the arcs decides preservation.
     """
+    arcs = graph.arcs
+    arc_set = set(arcs)
     for g in gens:
         im = g.images
-        for x, y in graph.arcs:
-            if (im[x - 1], im[y - 1]) not in graph.arc_set:
+        for x, y in arcs:
+            if (im[x - 1], im[y - 1]) not in arc_set:
                 return g, (x, y)
     return None
 
@@ -211,9 +213,10 @@ def brute_futile(graph, group) -> bool:
     stab = PermGroup(
         graph.degree, partition_stabilizer_generators(group.orbit_partition())
     )
+    arcs = set(graph.arcs)
     for e in all_elements(stab):
-        for x, y in graph.arcs:
-            if (e.apply(x), e.apply(y)) not in graph.arc_set:
+        for x, y in arcs:
+            if (e.apply(x), e.apply(y)) not in arcs:
                 return False
     return True
 

@@ -285,10 +285,8 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
 
     def test_verdict_disagreement_exits_3(self, capsys, monkeypatch):
-        real = futility.is_futile_fast
-        monkeypatch.setattr(
-            "orbgraph.futility.is_futile_fast", lambda group, a, b: not real(group, a, b)
-        )
+        real = futility._fast
+        monkeypatch.setattr("orbgraph.futility._fast", lambda sizes: not real(sizes))
         assert run(["futility", TWO_TRIANGLES, "--method", "all", "--json"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

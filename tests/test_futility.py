@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import tracemalloc
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -78,8 +79,8 @@ class TestStructural:
         # the witness really does break the graph and really does stabilize
         # the orbit partition
         x, y = arc
-        assert arc in g.arc_set
-        assert (perm.apply(x), perm.apply(y)) not in g.arc_set
+        assert g.has_arc(x, y)
+        assert not g.has_arc(perm.apply(x), perm.apply(y))
         gens = partition_stabilizer_generators(two_triangles.orbit_partition())
         assert perm in PermGroup(9, gens)
 
@@ -134,17 +135,18 @@ class TestStructural:
                     assert v.shape == expected
 
 
-class CountingSet(frozenset):
-    """An arc set that appends every membership query to lookups."""
+class RecordingLists(tuple):
+    """Neighbour lists that append (name, index) to reads for every list
+    handed out."""
 
-    def __new__(cls, arcs, lookups):
-        self = super().__new__(cls, arcs)
-        self.lookups = lookups
+    def __new__(cls, lists, name, reads):
+        self = super().__new__(cls, lists)
+        self.name, self.reads = name, reads
         return self
 
-    def __contains__(self, arc):
-        self.lookups.append(arc)
-        return super().__contains__(arc)
+    def __getitem__(self, index):
+        self.reads.append((self.name, index))
+        return super().__getitem__(index)
 
 
 class TestOracle:
@@ -189,17 +191,28 @@ class TestOracle:
     def test_bipartite_futile_graphs_need_no_arc_lookups(self, corpus_sample):
         # a futile bipartite graph is alpha's orbit x beta's orbit, so two
         # points of one orbit cell have equal neighbour lists and the
-        # search settles every swap without reading the arc set
+        # search settles every swap (a, b) from the four lists it compares,
+        # reading no other list and looking up no arc
         checked = 0
         for group in corpus_sample:
             for pair in enumerate_base_pairs(group):
                 g = build_orbital_graph(group, *pair)
                 if is_futile_structural(g, group).shape != SHAPE_BIPARTITE:
                     continue
-                lookups = []
-                counted = dataclasses.replace(g, arc_set=CountingSet(g.arc_set, lookups))
+                reads = []
+                counted = dataclasses.replace(
+                    g,
+                    out_adj=RecordingLists(g.out_adj, "out", reads),
+                    in_adj=RecordingLists(g.in_adj, "in", reads),
+                )
                 assert is_futile_oracle(counted, group)
-                assert lookups == []
+                assert reads == [
+                    (name, p - 1)
+                    for cell in group.orbit_partition().cells
+                    for a, b in pairwise(cell)
+                    for name in ("out", "in")
+                    for p in (a, b)
+                ]
                 checked += 1
         assert checked > 0
 
@@ -348,6 +361,17 @@ class TestVerdictRecord:
                 records = verdict_records(group, alpha, beta, METHODS, g)
                 assert len(searches) == 1
                 assert records == [verdict_record(group, alpha, beta, m, g) for m in METHODS]
+
+    def test_all_methods_read_the_orbit_sizes_once(self, monkeypatch, corpus_sample):
+        reads = []
+        sizes = futility._pair_orbit_sizes
+        monkeypatch.setattr(futility, "_pair_orbit_sizes", lambda *a: reads.append(a) or sizes(*a))
+        pairs = 0
+        for group in corpus_sample:
+            for alpha, beta in enumerate_base_pairs(group):
+                verdict_records(group, alpha, beta, METHODS)
+                pairs += 1
+        assert len(reads) == pairs > 0
 
 
 @given(groups_st(min_degree=3, max_degree=6))

@@ -1,6 +1,7 @@
 """Orbital graph construction and the queries on built graphs."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -60,7 +61,30 @@ class TestBuild:
     def test_base_pair_is_always_an_arc(self, two_swaps):
         g = build_orbital_graph(two_swaps, 5, 2)
         assert g.base_pair == (5, 2)
-        assert (5, 2) in g.arc_set
+        assert g.has_arc(5, 2)
+
+    def test_has_arc_is_false_off_the_points(self, two_swaps):
+        # 7 is the last point and its out-list is (1,), so an unguarded
+        # read of out_adj[0 - 1] would wrongly find the arc (0, 1)
+        g = build_orbital_graph(two_swaps, 7, 1)
+        assert g.arcs == ((7, 1),)
+        assert g.has_arc(7, 1)
+        for x, y in [(0, 1), (-6, 1), (8, 1), (7, 0), (7, 8), (1, 7)]:
+            assert not g.has_arc(x, y)
+
+    def test_graph_memory_is_linear_in_the_arcs(self):
+        # S_200 on (1, 2) is the complete digraph, 39 800 arcs; each arc
+        # costs one slot in an out-list and one in an in-list, 16 bytes
+        group = PermGroup.symmetric(200)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = build_orbital_graph(group, 1, 2)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, g.out_adj)) == 39_800
+        assert kept <= 40 * 39_800
 
     def test_adjacency_is_consistent_with_arcs(self, two_triangles):
         g = build_orbital_graph(two_triangles, 1, 2)
@@ -172,7 +196,7 @@ class TestEnumerateBasePairs:
     def test_enumeration_is_already_distinct(self, two_swaps, two_triangles, corpus_sample):
         for group in (two_swaps, two_triangles, *corpus_sample):
             pairs = enumerate_base_pairs(group)
-            arc_sets = {build_orbital_graph(group, *pair).arc_set for pair in pairs}
+            arc_sets = {build_orbital_graph(group, *pair).arcs for pair in pairs}
             assert len(arc_sets) == len(pairs)
 
     def test_every_arc_set_is_covered(self, two_swaps):

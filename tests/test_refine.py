@@ -22,7 +22,7 @@ from support import (
 
 def graph_of(degree, arcs):
     """An OrbitalGraph with exactly these arcs, the first one as base pair."""
-    arcs = tuple(sorted(arcs))
+    arcs = sorted(arcs)
     out_adj = [[] for _ in range(degree)]
     in_adj = [[] for _ in range(degree)]
     # arcs are sorted, so every neighbour list comes out sorted
@@ -32,10 +32,8 @@ def graph_of(degree, arcs):
     return OrbitalGraph(
         degree,
         arcs[0] if arcs else (1, 2),
-        arcs,
         tuple(map(tuple, out_adj)),
         tuple(map(tuple, in_adj)),
-        frozenset(arcs),
     )
 
 
