@@ -286,6 +286,18 @@ def components_pairwise_isomorphic(graph, group) -> bool:
     return True
 
 
+def individualised(partition, point):
+    """The partition with point split off in front of the rest of its cell."""
+    cells = []
+    for cell in partition.cells:
+        if point in cell:
+            cells.append((point,))
+            cells.append(tuple(p for p in cell if p != point))
+        else:
+            cells.append(cell)
+    return OrderedPartition(partition.degree, [c for c in cells if c])
+
+
 def dense_refine(partition, graph) -> RefinementTrace:
     """The dense signature refiner, kept as the reference for
     refine_by_graph's cells as sets and its split count: every round signs

@@ -16,6 +16,7 @@ from support import (
     cyclic_group,
     dense_refine,
     dihedral_group,
+    individualised,
     wreath_group,
 )
 
@@ -35,18 +36,6 @@ def graph_of(degree, arcs):
         tuple(map(tuple, out_adj)),
         tuple(map(tuple, in_adj)),
     )
-
-
-def individualised(partition, point):
-    """The partition with point split off in front of the rest of its cell."""
-    cells = []
-    for cell in partition.cells:
-        if point in cell:
-            cells.append((point,))
-            cells.append(tuple(p for p in cell if p != point))
-        else:
-            cells.append(cell)
-    return OrderedPartition(partition.degree, [c for c in cells if c])
 
 
 def random_partition(rng, degree):
