@@ -168,6 +168,8 @@ class OrderedPartition:
     __slots__ = ("degree", "cells")
 
     def __init__(self, degree: int, cells):
+        if degree < 1:
+            raise ValueError("degree must be at least 1")
         norm = tuple(tuple(sorted(c)) for c in cells)
         seen: set[int] = set()
         for cell in norm:
@@ -183,6 +185,14 @@ class OrderedPartition:
             raise ValueError("cells do not cover the domain")
         self.degree = degree
         self.cells = norm
+
+    @classmethod
+    def _unchecked(cls, degree: int, cells: tuple[tuple[int, ...], ...]) -> "OrderedPartition":
+        # cells already sorted and covering 1..degree once need no re-validation
+        p = object.__new__(cls)
+        p.degree = degree
+        p.cells = cells
+        return p
 
     @classmethod
     def unit(cls, degree: int) -> "OrderedPartition":

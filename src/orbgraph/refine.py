@@ -30,11 +30,15 @@ def refine_by_graph(partition: OrderedPartition, graph: OrbitalGraph) -> Refinem
 
     A queue of splitter cells starts as every input cell in position order.
     Popping a splitter W counts, for each vertex, its arcs into W and from
-    W, reading the adjacency of W's members only. Each cell holding a
-    counted vertex splits by the pair (arcs into W, arcs from W), an
-    uncounted vertex having (0, 0); the fragments replace the parent in
-    place, in ascending pair order, and touched cells are split in cell
-    order. If the parent was waiting in the queue, every fragment waits
+    W, reading the adjacency of W's members only. One count array serves
+    the whole call: an arc into W adds n + 1 to its tail's entry and an arc
+    out of W adds 1 to its head's, so each entry orders exactly as the pair
+    (arcs into W, arcs from W). The vertices counted are listed at their
+    first count, and their entries go back to 0 once read. One dict keyed
+    by (cell start, count) and one sort then give the touched cells in
+    cell order, each with its fragments in ascending pair order, an
+    uncounted vertex having (0, 0). The fragments replace the parent in
+    place. If the parent was waiting in the queue, every fragment waits
     there with it; otherwise every fragment but the first largest is
     queued for the next round. Each splitter a vertex is popped in is at
     most half the one before, so a vertex is in at most 1 + log2(n)
@@ -48,11 +52,12 @@ def refine_by_graph(partition: OrderedPartition, graph: OrbitalGraph) -> Refinem
     """
     if partition.degree != graph.degree:
         raise ValueError("partition and graph degrees differ")
+    n = partition.degree
     out_adj, in_adj = graph.out_adj, graph.in_adj
     # a cell is keyed by its start, the number of points in earlier cells,
     # so key order is cell order
     cells: dict[int, set[int]] = {}
-    start_of = [0] * (partition.degree + 1)
+    start_of = [0] * (n + 1)
     start = 0
     for cell in partition.cells:
         cells[start] = set(cell)
@@ -61,6 +66,11 @@ def refine_by_graph(partition: OrderedPartition, graph: OrbitalGraph) -> Refinem
         start += len(cell)
     queue = list(cells)
     waiting = dict.fromkeys(queue, queue)  # start -> the generation it waits in
+    # neither count of a pair exceeds n, so a count stays below span and
+    # start * span + count orders as (start, arcs into W, arcs from W)
+    count = [0] * (n + 1)
+    into = n + 1
+    span = into * into
     rounds = 0
     while queue:
         rounds += 1
@@ -68,43 +78,49 @@ def refine_by_graph(partition: OrderedPartition, graph: OrbitalGraph) -> Refinem
         # queue grows while it is read when a waiting cell splits
         for s in queue:
             del waiting[s]
-            splitter = cells[s]
-            # into[w]: arcs from w into the splitter; out_of[w]: arcs out
-            # of the splitter to w
-            into: dict[int, int] = {}
-            for v in splitter:
+            hit: list[int] = []
+            for v in cells[s]:
                 for w in in_adj[v - 1]:
-                    into[w] = into.get(w, 0) + 1
-            out_of: dict[int, int] = {}
-            for v in splitter:
+                    c = count[w]
+                    if not c:
+                        hit.append(w)
+                    count[w] = c + into
                 for w in out_adj[v - 1]:
-                    out_of[w] = out_of.get(w, 0) + 1
-            touched: dict[int, list[int]] = {}
-            for w in into.keys() | out_of.keys():
-                touched.setdefault(start_of[w], []).append(w)
-            for t in sorted(touched):
-                cell = cells[t]
-                hit = touched[t]
-                groups: dict[tuple[int, int], list[int]] = {}
-                for w in hit:
-                    groups.setdefault((into.get(w, 0), out_of.get(w, 0)), []).append(w)
-                if len(groups) == 1 and len(hit) == len(cell):
+                    c = count[w]
+                    if not c:
+                        hit.append(w)
+                    count[w] = c + 1
+            groups: dict[int, list[int]] = {}
+            for w in hit:
+                groups.setdefault(start_of[w] * span + count[w], []).append(w)
+                count[w] = 0
+            keys = sorted(groups)
+            parts: list[list[int]] = []  # the touched cell's counted fragments
+            for i, key in enumerate(keys, 1):
+                parts.append(groups[key])
+                t = key // span
+                if i < len(keys) and keys[i] // span == t:
                     continue
-                cell.difference_update(hit)
-                fragments = [cell] if cell else []
-                fragments.extend(set(groups[pair]) for pair in sorted(groups))
-                starts = []
-                start = t
-                for fragment in fragments:
-                    cells[start] = fragment
-                    if fragment is not cell:
-                        for w in fragment:
-                            start_of[w] = start
+                cell = cells[t]
+                if len(parts) == 1 and len(parts[0]) == len(cell):
+                    parts = []
+                    continue
+                for members in parts:
+                    cell.difference_update(members)
+                # what is left of the cell, if anything, has pair (0, 0)
+                # and comes first
+                starts, sizes = ([t], [len(cell)]) if cell else ([], [])
+                start = t + len(cell)
+                for members in parts:
+                    cells[start] = set(members)
+                    for w in members:
+                        start_of[w] = start
                     starts.append(start)
-                    start += len(fragment)
+                    sizes.append(len(members))
+                    start += len(members)
+                parts = []
                 generation = waiting.get(t)
                 if generation is None:
-                    sizes = [len(f) for f in fragments]
                     del starts[sizes.index(max(sizes))]
                     generation = later
                 else:
@@ -113,7 +129,9 @@ def refine_by_graph(partition: OrderedPartition, graph: OrbitalGraph) -> Refinem
                     waiting[start] = generation
                     generation.append(start)
         queue = later
-    output = OrderedPartition(partition.degree, [cells[s] for s in sorted(cells)])
+    output = OrderedPartition._unchecked(
+        n, tuple(tuple(sorted(cells[s])) for s in sorted(cells))
+    )
     return RefinementTrace(
         graph.base_pair,
         partition,
