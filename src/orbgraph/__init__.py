@@ -1,5 +1,5 @@
 """Orbital graphs of finite permutation groups: construction, base-pair
-enumeration, three-way futility testing, and signature refinement."""
+enumeration, three-way futility testing, and splitter-queue refinement."""
 
 from .futility import (
     METHODS,

@@ -1,13 +1,16 @@
 """The command line surface: outputs, formats, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
+import orbgraph
 from orbgraph import futility
 from orbgraph.cli import run
 from orbgraph.orbital import build_orbital_graph, enumerate_base_pairs
@@ -314,3 +317,23 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "[1|2,3|4,6|5|7]\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["refine", TWO_SWAPS, "--pair", "1,2", "--partition", "unit"], 0),
+        ([], 1),
+        (["graph", TWO_SWAPS, "--pair", "1,9"], 2),
+    ],
+    ids=["refine", "no-subcommand", "point-out-of-range"],
+)
+def test_module_entry_point_matches_run(capsys, argv, code):
+    # python -m orbgraph exits with run's code and prints what run prints
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(orbgraph.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbgraph", *argv], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)

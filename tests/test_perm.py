@@ -493,6 +493,11 @@ class TestOrderedPartition:
         with pytest.raises(ValueError, match="empty"):
             OrderedPartition(3, [[1, 2, 3], []])
 
+    @pytest.mark.parametrize("degree", [0, -3])
+    def test_degree_below_one(self, degree):
+        with pytest.raises(ValueError, match="degree must be at least 1"):
+            OrderedPartition(degree, [])
+
 
 class TestPartitionStabilizerGenerators:
     def test_adjacent_transpositions(self):

@@ -167,16 +167,22 @@ def reference_groups(rng, corpus_sample):
     yield wreath_group(3, 4)
     for degree in (20, 30, 40, 50, 60):
         yield block_preserving_group(rng, degree, rng.randint(1, 3), rng.randint(2, 8))
+    # long runs of pops: an individualised point on a long cycle takes
+    # about n/2 rounds
+    for n in (120, 240):
+        yield cyclic_group(n)
+        yield dihedral_group(n)
+    yield block_preserving_group(rng, 150, rng.randint(1, 3), rng.randint(2, 8))
 
 
 def reference_cases(rng, corpus_sample):
     """(partition, graph) over reference_groups; degrees past 12 take a
-    seeded sample of at most four base pairs each."""
+    seeded sample of at most four base pairs each, and past 60 of one."""
     for group in reference_groups(rng, corpus_sample):
         partitions = list(reference_partitions(rng, group))
         pairs = enumerate_base_pairs(group)
         if group.degree > 12:
-            pairs = rng.sample(pairs, min(4, len(pairs)))
+            pairs = rng.sample(pairs, min(4 if group.degree <= 60 else 1, len(pairs)))
         for pair in pairs:
             graph = build_orbital_graph(group, *pair)
             for partition in partitions:
