@@ -95,30 +95,30 @@ def refine_by_graph(partition: OrderedPartition, graph: OrbitalGraph) -> Refinem
                 groups.setdefault(start_of[w] * span + count[w], []).append(w)
                 count[w] = 0
             keys = sorted(groups)
-            parts: list[list[int]] = []  # the touched cell's counted fragments
+            parts: list[list[int]] = []
             for i, key in enumerate(keys, 1):
                 parts.append(groups[key])
                 t = key // span
                 if i < len(keys) and keys[i] // span == t:
                     continue
+                # parts holds every counted fragment of cell t
+                counted, parts = parts, []
                 cell = cells[t]
-                if len(parts) == 1 and len(parts[0]) == len(cell):
-                    parts = []
+                if len(counted) == 1 and len(counted[0]) == len(cell):
                     continue
-                for members in parts:
+                for members in counted:
                     cell.difference_update(members)
                 # what is left of the cell, if anything, has pair (0, 0)
                 # and comes first
                 starts, sizes = ([t], [len(cell)]) if cell else ([], [])
                 start = t + len(cell)
-                for members in parts:
+                for members in counted:
                     cells[start] = set(members)
                     for w in members:
                         start_of[w] = start
                     starts.append(start)
                     sizes.append(len(members))
                     start += len(members)
-                parts = []
                 generation = waiting.get(t)
                 if generation is None:
                     del starts[sizes.index(max(sizes))]
