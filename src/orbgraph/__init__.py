@@ -19,6 +19,7 @@ from .orbital import (
     OrbitalGraph,
     arc_count_formula,
     build_orbital_graph,
+    build_orbital_graphs,
     check_base_pair,
     enumerate_base_pairs,
     graph_to_json,

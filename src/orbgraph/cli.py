@@ -15,6 +15,7 @@ import sys
 from .futility import METHODS, verdict_records
 from .orbital import (
     build_orbital_graph,
+    build_orbital_graphs,
     enumerate_base_pairs,
     graph_to_json,
     is_self_paired,
@@ -88,24 +89,24 @@ def _cmd_base_pairs(args) -> int:
     return 0
 
 
-def _futility_records(group, alpha, beta, methods, table):
-    # the table's paired and components columns read the graph, so only a
-    # fast-only JSON run goes without it
-    graph = None
-    if table or any(m != "fast" for m in methods):
-        graph = build_orbital_graph(group, alpha, beta)
-    return verdict_records(group, alpha, beta, methods, graph), graph
-
-
 def _cmd_futility(args) -> int:
     group = _load_group(args.group)
     methods = list(METHODS) if args.method == "all" else [args.method]
     pairs = [args.pair] if args.pair is not None else enumerate_base_pairs(group)
+    # the table's paired and components columns read the graph, so only a
+    # fast-only JSON run goes without it; one pair is closed under the
+    # generators, and a whole enumeration is built from its stabilizers
+    graphs = [None] * len(pairs)
+    if not args.json or any(m != "fast" for m in methods):
+        if args.pair is not None:
+            graphs = [build_orbital_graph(group, *args.pair)]
+        else:
+            graphs = build_orbital_graphs(group, pairs)
 
     all_records = []
     rows = []
-    for alpha, beta in pairs:
-        records, graph = _futility_records(group, alpha, beta, methods, not args.json)
+    for (alpha, beta), graph in zip(pairs, graphs):
+        records = verdict_records(group, alpha, beta, methods, graph)
         verdicts = {r["futile"] for r in records}
         if len(verdicts) > 1:
             detail = ", ".join(f"{r['method']}={r['futile']}" for r in records)

@@ -6,7 +6,10 @@ the futility tests and the refiner need.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 from .perm import OrderedPartition, PermGroup
 
@@ -17,7 +20,8 @@ class OrbitalGraph:
 
     out_adj and in_adj are indexed by point - 1 and hold sorted neighbour
     tuples; arcs derives the lexicographically sorted arcs from out_adj.
-    Graphs built by build_orbital_graph always contain their base pair.
+    Built graphs always contain their base pair. A graph from
+    build_orbital_graphs shares its in_adj with its reverse's out_adj.
     """
 
     degree: int
@@ -63,6 +67,86 @@ def build_orbital_graph(group: PermGroup, alpha: int, beta: int) -> OrbitalGraph
         out[x - 1].append(y)
         inn[y - 1].append(x)
     return OrbitalGraph(n, (alpha, beta), tuple(map(tuple, out)), tuple(map(tuple, inn)))
+
+
+def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
+    """Build the graphs of a set of enumerated base pairs at once, in the
+    order given, from the point stabilizers the enumeration has cached.
+
+    Each tail must be the least point of its orbit, no two pairs may name
+    one orbital, and the set must be closed under pairing: it holds the
+    orbital of (beta, alpha) whenever it holds that of (alpha, beta). The
+    whole enumeration and its useful subset both are, since a graph is
+    futile exactly when its reverse is. Otherwise ValueError.
+
+    Graph (r, b) has out-neighbourhood D_b = b^(G_r) at r, and D_b^g at
+    r^g. So one breadth-first walk of r's orbit serves all of r's graphs:
+    it carries the row (r,) + D_b1 + D_b2 + ... along, the row at y = x^s
+    being the row at x mapped by s, and graph (r, b)'s out-list at x is
+    its slice of the row at x, sorted. The rows are as large as r's
+    graphs and are dropped once those are read. The reverse of (alpha,
+    beta) is the graph whose slice of the row at beta holds alpha, with
+    tail the least point of beta's orbit; its out_adj is (alpha, beta)'s
+    in_adj, the same tuple, so a self-paired graph has in_adj is out_adj.
+
+    build_orbital_graph serves a single pair: it needs no stabilizer,
+    where a stabilizer costs Theta(n^2) on a group like C_n.
+    """
+    n = group.degree
+    pairs = list(pairs)
+    by_tail: dict[int, list[int]] = {}  # tail -> indices of its pairs
+    by_head: dict[int, list[int]] = {}  # least point of the head's orbit -> indices
+    for i, (alpha, beta) in enumerate(pairs):
+        check_base_pair(n, alpha, beta)
+        if group.orbit(alpha)[0] != alpha:
+            raise ValueError(f"tail {alpha} is not the least point of its orbit")
+        by_tail.setdefault(alpha, []).append(i)
+        by_head.setdefault(group.orbit(beta)[0], []).append(i)
+    not_closed = "pair set is not closed under pairing"
+    if not by_head.keys() <= by_tail.keys():
+        raise ValueError(not_closed)
+    tables = [(0,) + g.images for g in group.generators]
+    out: list = [None] * len(pairs)
+    inn: list = [None] * len(pairs)
+    for r, idx in by_tail.items():
+        stab = group.point_stabilizer(r)
+        # a row starts with its own point, so it has at least two points
+        # and itemgetter over it returns a tuple, never a scalar
+        cat = [r]
+        starts = []
+        for i in idx:
+            starts.append(len(cat))
+            cat.extend(stab.orbit(pairs[i][1]))
+        if len(set(cat)) < len(cat):
+            raise ValueError(f"two pairs with tail {r} name one orbital")
+        rows = {r: tuple(cat)}
+        walk = [rows[r]]  # grows while it is read
+        for row in walk:
+            get = itemgetter(*row)
+            x = row[0]
+            for t in tables:
+                y = t[x]
+                if y not in rows:
+                    rows[y] = get(t)
+                    walk.append(rows[y])
+        orbit = group.orbit(r)
+        ordered = list(map(rows.__getitem__, orbit))
+        for i, lo, hi in zip(idx, starts, starts[1:] + [len(cat)]):
+            lists = map(itemgetter(slice(lo, hi)), ordered)
+            if hi - lo > 1:  # a one-point slice is sorted already
+                lists = map(tuple, map(sorted, lists))
+            if len(orbit) == n:
+                out[i] = tuple(lists)
+            else:  # a point off r's orbit is no tail
+                out[i] = tuple(map(dict(zip(orbit, lists)).get, range(1, n + 1), repeat((), n)))
+        for i in by_head.get(r, ()):
+            alpha, beta = pairs[i]
+            try:
+                pos = rows[beta].index(alpha)
+            except ValueError:
+                raise ValueError(not_closed) from None
+            inn[i] = out[idx[bisect_right(starts, pos) - 1]]
+    return [OrbitalGraph(n, pair, o, i) for pair, o, i in zip(pairs, out, inn)]
 
 
 def _pair_orbit_sizes(group: PermGroup, alpha: int, beta: int) -> tuple[int, int, int, bool]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .futility import is_futile_fast
-from .orbital import OrbitalGraph, build_orbital_graph, enumerate_base_pairs
+from .orbital import OrbitalGraph, build_orbital_graphs, enumerate_base_pairs
 from .perm import OrderedPartition, PermGroup
 
 
@@ -143,12 +143,17 @@ def refine_by_graph(partition: OrderedPartition, graph: OrbitalGraph) -> Refinem
 
 def select_useful_graphs(group: PermGroup):
     """Enumerate base pairs, drop the futile ones via the fast test, and
-    build only the survivors. Returns (pair, graph) tuples."""
-    out = []
-    for pair in enumerate_base_pairs(group):
-        if not is_futile_fast(group, pair[0], pair[1]):
-            out.append((pair, build_orbital_graph(group, pair[0], pair[1])))
-    return out
+    build only the survivors. Returns (pair, graph) tuples in enumeration
+    order.
+
+    The survivors are closed under pairing, since a graph is futile
+    exactly when its reverse is, so build_orbital_graphs builds them all
+    from the stabilizer orbits the enumeration and the fast test have
+    cached: one walk per orbit representative, with each graph's in_adj
+    the same tuple as its reverse's out_adj.
+    """
+    pairs = [p for p in enumerate_base_pairs(group) if not is_futile_fast(group, *p)]
+    return list(zip(pairs, build_orbital_graphs(group, pairs)))
 
 
 def trace_record(trace: RefinementTrace) -> dict:

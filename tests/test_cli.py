@@ -176,10 +176,41 @@ class TestFastOnly:
             raise AssertionError("orbital graph built on the fast JSON path")
 
         monkeypatch.setattr("orbgraph.cli.build_orbital_graph", no_graph)
+        monkeypatch.setattr("orbgraph.cli.build_orbital_graphs", no_graph)
         monkeypatch.setattr("orbgraph.futility.build_orbital_graph", no_graph)
         assert run(["futility", TWO_TRIANGLES, "--method", "fast", "--json"]) == 0
         records = json.loads(capsys.readouterr().out)
         assert records and all(r["method"] == "fast" for r in records)
+
+
+class TestBuilders:
+    """All pairs are built at once from stabilizer orbits, one pair by its
+    closure under the generators; the outputs agree."""
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_all_pairs_build_through_the_batch(self, monkeypatch, table):
+        def no_graph(*args):
+            raise AssertionError("one graph built on the all-pairs path")
+
+        argv = ["futility", TWO_TRIANGLES] + ([] if table else ["--json"])
+        expected = _stdout(argv)
+        monkeypatch.setattr("orbgraph.cli.build_orbital_graph", no_graph)
+        monkeypatch.setattr("orbgraph.futility.build_orbital_graph", no_graph)
+        assert _stdout(argv) == expected
+
+    def test_one_pair_builds_by_closure(self, monkeypatch):
+        def no_batch(*args):
+            raise AssertionError("batch builder called for one pair")
+
+        monkeypatch.setattr("orbgraph.cli.build_orbital_graphs", no_batch)
+        assert json.loads(_stdout(["futility", TWO_TRIANGLES, "--pair", "7,1", "--json"]))
+
+    @pytest.mark.parametrize("name,text", FAST_CASES)
+    def test_json_over_all_pairs_joins_the_single_pairs(self, name, text):
+        joined = []
+        for a, b in enumerate_base_pairs(parse_group_text(text)):
+            joined += json.loads(_stdout(["futility", text, "--pair", f"{a},{b}", "--json"]))
+        assert json.loads(_stdout(["futility", text, "--json"])) == joined
 
 
 class TestRefine:

@@ -1,6 +1,7 @@
 """Orbital graph construction and the queries on built graphs."""
 
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from orbgraph.orbital import (
     arc_count_formula,
     build_orbital_graph,
+    build_orbital_graphs,
     enumerate_base_pairs,
     graph_to_json,
     is_self_paired,
@@ -16,15 +18,24 @@ from orbgraph.orbital import (
     to_dot,
     weak_components,
 )
+from orbgraph.futility import is_futile_fast
 from orbgraph.perm import PermGroup, parse_cycles
+from orbgraph.refine import select_useful_graphs
 
 from support import (
     all_elements,
     arc_mapping_element,
+    block_preserving_group,
     brute_arcs,
     components_pairwise_isomorphic,
+    cyclic_group,
+    dihedral_group,
+    disjoint_symmetric_groups,
     group_from,
     groups_st,
+    pgl2,
+    product_action_group,
+    wreath_group,
 )
 
 
@@ -106,6 +117,125 @@ class TestBuild:
     def test_arcs_match_brute_force(self, group):
         elements = all_elements(group)
         assert build_orbital_graph(group, 1, 2).arcs == brute_arcs(elements, 1, 2)
+
+
+def paired_graph(graphs, graph):
+    """The graph of the set holding the reverse of graph's base pair."""
+    alpha, beta = graph.base_pair
+    (paired,) = [h for h in graphs if h.has_arc(beta, alpha)]
+    return paired
+
+
+def assert_matches_closure(group, graphs):
+    """Each graph equals build_orbital_graph on its base pair and shares
+    its in_adj with the paired graph's out_adj."""
+    for g in graphs:
+        reference = build_orbital_graph(group, *g.base_pair)
+        assert g.out_adj == reference.out_adj
+        assert g.in_adj == reference.in_adj
+        assert g.in_adj is paired_graph(graphs, g).out_adj
+
+
+def assert_builders_agree(group):
+    """On the whole enumeration and on the select_useful_graphs subset.
+    Returns the number of graphs built."""
+    pairs = enumerate_base_pairs(group)
+    graphs = build_orbital_graphs(group, pairs)
+    assert [g.base_pair for g in graphs] == pairs
+    assert_matches_closure(group, graphs)
+    useful = select_useful_graphs(group)
+    assert [pair for pair, _ in useful] == [p for p in pairs if not is_futile_fast(group, *p)]
+    assert all(g.base_pair == pair for pair, g in useful)
+    assert_matches_closure(group, [g for _, g in useful])
+    return len(graphs)
+
+
+FORMULA_GROUPS = (
+    [cyclic_group(n) for n in (2, 3, 5, 12, 57, 200)]
+    + [dihedral_group(n) for n in (3, 4, 9, 30, 121, 200)]
+    + [pgl2(p) for p in (5, 7, 13)]
+    + [wreath_group(3, 4), wreath_group(4, 3), wreath_group(2, 5)]
+    + [product_action_group(3, 3), product_action_group(4, 2), product_action_group(3, 5)]
+    + [disjoint_symmetric_groups(3, 4), PermGroup(4)]
+)
+
+
+class TestBuildMany:
+    def test_corpus(self, corpus):
+        assert sum(map(assert_builders_agree, corpus)) > 1500
+
+    @pytest.mark.parametrize("index", range(len(FORMULA_GROUPS)))
+    def test_formula_groups(self, index):
+        assert_builders_agree(FORMULA_GROUPS[index])
+
+    def test_intransitive_groups_with_cross_orbit_pairs(self):
+        # the paired graph of a pair across orbits has its tail in the
+        # head's orbit, so its rows come from another walk
+        rng = random.Random(20261019)
+        across = 0
+        for _ in range(12):
+            degree = rng.randint(20, 60)
+            group = block_preserving_group(rng, degree, rng.randint(1, 3), rng.randint(2, 8))
+            assert_builders_agree(group)
+            useful = [pair for pair, _ in select_useful_graphs(group)]
+            across += sum(b not in group.orbit(a) for a, b in useful)
+        assert across > 100
+
+    @pytest.mark.parametrize("build", [cyclic_group, dihedral_group])
+    def test_useful_graphs_share_paired_lists(self, build):
+        # with the stabilizers warm, a graph keeps its out-lists and borrows
+        # its in-lists from the paired graph: a 1-point out-list is a 48-byte
+        # tuple, so C_200 keeps about 54 bytes per arc and D_200 about 30,
+        # where one closure per graph kept 111 and 63
+        group = build(200)
+        select_useful_graphs(group)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            useful = select_useful_graphs(group)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        graphs = [graph for _, graph in useful]
+        arcs = sum(sum(map(len, g.out_adj)) for g in graphs)
+        assert arcs == 200 * 199
+        assert kept < 80 * arcs
+        self_paired = 0
+        for g in graphs:
+            paired = paired_graph(graphs, g)
+            assert g.in_adj is paired.out_adj
+            if paired is g:
+                self_paired += 1
+                assert is_self_paired(g)
+        assert self_paired == (1 if build is cyclic_group else len(graphs))
+
+    def test_pair_set_not_closed_under_pairing(self, two_swaps):
+        # in C_5 the reverse of (1, 2) is the orbital of (1, 5)
+        c5 = cyclic_group(5)
+        with pytest.raises(ValueError, match="not closed under pairing"):
+            build_orbital_graphs(c5, [(1, 2)])
+        assert len(build_orbital_graphs(c5, [(1, 2), (1, 5)])) == 2
+        # the reverse of (1, 2) would have its tail at 2, which has no pair
+        with pytest.raises(ValueError, match="not closed under pairing"):
+            build_orbital_graphs(two_swaps, [(1, 2)])
+
+    def test_tail_not_least_in_its_orbit(self):
+        with pytest.raises(ValueError, match="tail 2 is not the least point"):
+            build_orbital_graphs(cyclic_group(5), [(2, 3), (1, 2), (1, 5)])
+
+    def test_two_pairs_naming_one_orbital(self):
+        # the stabilizer of 1 in D_5 swaps 2 and 5
+        d5 = dihedral_group(5)
+        with pytest.raises(ValueError, match="name one orbital"):
+            build_orbital_graphs(d5, [(1, 2), (1, 5)])
+        with pytest.raises(ValueError, match="name one orbital"):
+            build_orbital_graphs(d5, [(1, 2), (1, 3), (1, 2)])
+
+    def test_pair_validation(self, two_swaps):
+        with pytest.raises(ValueError, match="distinct"):
+            build_orbital_graphs(two_swaps, [(1, 1)])
+        with pytest.raises(ValueError, match="out of range"):
+            build_orbital_graphs(two_swaps, [(1, 8)])
 
 
 class TestArcCount:
