@@ -182,10 +182,18 @@ def verdict_records(group, alpha, beta, methods, graph=None) -> list[dict]:
     one. The oracle shares the structural test's witness search, so it
     reuses a witness that test found; after a futile structural verdict,
     which needs no search, or without one, it searches on its own.
+
+    A given graph must be the pair's: of the group's degree, with the pair
+    as an arc. Otherwise ValueError, as for a bad pair or method.
     """
     if unknown := [m for m in methods if m not in METHODS]:
         raise ValueError(f"unknown method {unknown[0]!r}")
     sizes = _pair_orbit_sizes(group, alpha, beta)
+    if graph is not None:
+        if graph.degree != group.degree:
+            raise ValueError("graph and group degrees differ")
+        if not graph.has_arc(alpha, beta):
+            raise ValueError(f"base pair ({alpha},{beta}) is not an arc of the graph")
     n, k, _, same_orbit = sizes
     bounds = _bounds(sizes)
     records, found = [], None

@@ -154,9 +154,10 @@ def _pair_orbit_sizes(group: PermGroup, alpha: int, beta: int) -> tuple[int, int
     and whether beta lies in alpha's orbit: all that the arc count, the
     fast futility test and the arc-count thresholds read."""
     check_base_pair(group.degree, alpha, beta)
-    orb_a = group.orbit(alpha)
+    orb_a, orb_b = group.orbit(alpha), group.orbit(beta)
     k = len(group.point_stabilizer(alpha).orbit(beta))
-    return len(orb_a), k, len(group.orbit(beta)), beta in orb_a
+    # a group hands out one tuple per orbit, so equal orbits are one object
+    return len(orb_a), k, len(orb_b), orb_b is orb_a
 
 
 def arc_count_formula(group: PermGroup, alpha: int, beta: int) -> int:

@@ -329,18 +329,47 @@ def _build_chain(degree: int, generators) -> list[_ChainLevel]:
     return levels
 
 
+def _orbits(degree: int, generators) -> tuple[list[tuple[int, ...]], OrderedPartition]:
+    """The orbits of the generated group: a point-to-orbit table and the
+    orbit partition, cells ascending by minimal point, holding one sorted
+    tuple per orbit, so a point's table entry is its partition cell. Each
+    orbit is one breadth-first closure under the generators. Forward
+    images suffice: a generator maps the finite closure into itself
+    injectively, hence onto itself."""
+    images = [g.images for g in generators]
+    orbit_of: list = [None] * degree
+    cells = []
+    for p in range(1, degree + 1):
+        if orbit_of[p - 1] is not None:
+            continue
+        # orbit_of marks a point found by pointing it at the open orbit's
+        # list, which grows while it is read
+        orbit = [p]
+        orbit_of[p - 1] = orbit
+        for x in orbit:
+            for im in images:
+                y = im[x - 1]
+                if orbit_of[y - 1] is None:
+                    orbit_of[y - 1] = orbit
+                    orbit.append(y)
+        cell = tuple(sorted(orbit))
+        for q in cell:
+            orbit_of[q - 1] = cell
+        cells.append(cell)
+    # the closures are disjoint, sorted and cover 1..degree
+    return orbit_of, OrderedPartition._unchecked(degree, tuple(cells))
+
+
 class PermGroup:
     """Group generated by permutations of {1..degree}.
 
-    Orbits and point stabilizers come straight from the generators. The
-    stabilizer chain, with base 1..degree, serves order, membership and
-    transitivity degree. Three things are computed on first use and then
-    cached: the orbit partition with a point-to-orbit table, which every
-    orbit query reads; one stabilizer subgroup per point; and the chain.
-    The lock guards only the chain, so a first use from several threads
-    builds it exactly once. The orbit and stabilizer caches need no lock:
-    their contents are deterministic, so a racing thread at worst repeats
-    the work and stores an equal value. Everything else is immutable.
+    The orbits are found when the group is built. Two things are computed
+    on first use and then cached: one stabilizer subgroup per point, and
+    the stabilizer chain with base 1..degree, which serves order,
+    membership and transitivity degree. The lock guards only the chain, so
+    a first use from several threads builds it exactly once. The
+    stabilizer cache needs no lock: a racing thread at worst repeats the
+    work and stores an equal value.
     """
 
     def __init__(self, degree: int, generators=()):
@@ -359,8 +388,7 @@ class PermGroup:
         self._lock = threading.Lock()
         self._chain: list[_ChainLevel] | None = None
         self._stabilizers: dict[int, "PermGroup"] = {}
-        self._orbit_partition: OrderedPartition | None = None
-        self._orbit_of: list[tuple[int, ...]] = []
+        self._orbit_of, self._orbit_partition = _orbits(degree, gens)
 
     @classmethod
     def symmetric(cls, degree: int) -> "PermGroup":
@@ -395,43 +423,14 @@ class PermGroup:
         """Sorted orbit of a point: its cell of the orbit partition."""
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")
-        self.orbit_partition()
         return self._orbit_of[point - 1]
 
     def orbit_partition(self) -> OrderedPartition:
-        """Orbits as an ordered partition, cells ascending by minimal point.
-        Each orbit is one breadth-first closure under the generators.
-        Forward images suffice: a generator maps the finite closure into
-        itself injectively, hence onto itself."""
-        if self._orbit_partition is None:
-            images = [g.images for g in self.generators]
-            orbit_of: list[tuple[int, ...] | list[int] | None] = [None] * self.degree
-            cells = []
-            for p in range(1, self.degree + 1):
-                if orbit_of[p - 1] is not None:
-                    continue
-                # orbit_of marks a point found by pointing it at the open
-                # orbit's list, which grows while it is read
-                orbit = [p]
-                orbit_of[p - 1] = orbit
-                for x in orbit:
-                    for im in images:
-                        y = im[x - 1]
-                        if orbit_of[y - 1] is None:
-                            orbit_of[y - 1] = orbit
-                            orbit.append(y)
-                cell = tuple(sorted(orbit))
-                for q in cell:
-                    orbit_of[q - 1] = cell
-                cells.append(cell)
-            # the table is set first, so a reader that sees the partition
-            # also sees the table
-            self._orbit_of = orbit_of
-            self._orbit_partition = OrderedPartition(self.degree, cells)
+        """Orbits as an ordered partition, cells ascending by minimal point."""
         return self._orbit_partition
 
     def is_transitive(self) -> bool:
-        return len(self.orbit_partition().cells) == 1
+        return len(self._orbit_partition.cells) == 1
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         """Subgroup fixing a point, generated by Schreier's lemma: with u_x
@@ -539,5 +538,6 @@ def parse_group_text(text: str) -> PermGroup:
 
 def load_group(path) -> PermGroup:
     """Read a group description file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark and reads any other UTF-8 as utf-8 does
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_group_text(fh.read())

@@ -51,6 +51,16 @@ class TestOrbits:
         assert run(["orbits", TWO_SWAPS]) == 0
         assert capsys.readouterr().out == "[1|2,3|4,6|5|7]\n"
 
+    def test_file_with_byte_order_mark(self, capsys, tmp_path, two_swaps_file):
+        # editors on some systems save UTF-8 with a leading BOM
+        path = tmp_path / "bom.grp"
+        path.write_bytes(b"\xef\xbb\xbf" + TWO_SWAPS.encode())
+        assert run(["orbits", str(path)]) == 0
+        with_bom = capsys.readouterr()
+        assert run(["orbits", two_swaps_file]) == 0
+        assert with_bom == capsys.readouterr()
+        assert with_bom.out == "[1|2,3|4,6|5|7]\n"
+
 
 class TestGraph:
     def test_dot_output(self, capsys, two_swaps_file):

@@ -348,6 +348,30 @@ class TestVerdictRecord:
         with pytest.raises(ValueError, match="method"):
             verdict_record(two_swaps, 1, 7, "guess")
 
+    def test_graph_of_another_pair(self, two_swaps):
+        # the graph of (4,2) does not hold (1,2); read as (1,2)'s graph it
+        # gave a fast arc count of 2 against an oracle count of 4
+        g = build_orbital_graph(two_swaps, 4, 2)
+        with pytest.raises(ValueError, match=r"\(1,2\) is not an arc"):
+            verdict_records(two_swaps, 1, 2, METHODS, g)
+
+    def test_graph_of_a_larger_degree(self, two_swaps, two_triangles):
+        # it gave an oracle verdict "futile" with 12 arcs
+        g = build_orbital_graph(two_triangles, 1, 2)
+        with pytest.raises(ValueError, match="degrees differ"):
+            verdict_record(two_swaps, 1, 2, "oracle", g)
+
+    def test_graph_of_a_smaller_degree(self, two_swaps, two_triangles):
+        # it gave a witness about the arc (2,3)
+        g = build_orbital_graph(two_swaps, 2, 3)
+        with pytest.raises(ValueError, match="degrees differ"):
+            verdict_record(two_triangles, 2, 3, "oracle", g)
+
+    def test_pair_is_checked_before_the_graph(self, two_swaps, two_triangles):
+        g = build_orbital_graph(two_triangles, 1, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            verdict_record(two_swaps, 1, 9, "oracle", g)
+
     def test_all_methods_search_each_graph_once(self, monkeypatch, corpus_sample):
         # the records of all three methods equal the single-method records,
         # and the oracle reuses a witness the structural test has found

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from orbgraph.orbital import (
+    _pair_orbit_sizes,
     arc_count_formula,
     build_orbital_graph,
     build_orbital_graphs,
@@ -249,6 +250,35 @@ class TestArcCount:
             for pair in enumerate_base_pairs(group):
                 g = build_orbital_graph(group, *pair)
                 assert len(g.arcs) == arc_count_formula(group, *pair)
+
+
+class TestOrbitTable:
+    """A group hands out one tuple per orbit: the orbit of a point is the
+    very cell of the orbit partition that holds it, and the same-orbit
+    flag of the orbit sizes compares those cells by identity."""
+
+    @staticmethod
+    def assert_orbit_table(group):
+        cells = group.orbit_partition().cells
+        for cell in cells:
+            for p in cell:
+                assert group.orbit(p) is cell
+        assert sorted(p for cell in cells for p in cell) == list(range(1, group.degree + 1))
+        for alpha, beta in enumerate_base_pairs(group):
+            for a, b in ((alpha, beta), (beta, alpha)):
+                assert _pair_orbit_sizes(group, a, b)[3] == (b in group.orbit(a))
+
+    def test_corpus(self, corpus_sample):
+        for group in corpus_sample:
+            self.assert_orbit_table(group)
+
+    @pytest.mark.parametrize("index", range(len(FORMULA_GROUPS)))
+    def test_formula_groups(self, index):
+        self.assert_orbit_table(FORMULA_GROUPS[index])
+
+    def test_point_stabilizers(self, two_triangles):
+        for p in range(1, 10):
+            self.assert_orbit_table(two_triangles.point_stabilizer(p))
 
 
 class TestSelfPaired:
