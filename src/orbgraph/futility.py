@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import pairwise
 
-from .orbital import OrbitalGraph, _pair_orbit_sizes, build_orbital_graph
+from .orbital import OrbitalGraph, _pair_orbit_sizes, build_orbital_graph, check_base_pair
 from .perm import PermGroup, Permutation
 
 SHAPE_COMPLETE = "complete-on-orbit"
@@ -184,16 +184,23 @@ def verdict_records(group, alpha, beta, methods, graph=None) -> list[dict]:
     which needs no search, or without one, it searches on its own.
 
     A given graph must be the pair's: of the group's degree, with the pair
-    as an arc. Otherwise ValueError, as for a bad pair or method.
+    as an arc. Otherwise ValueError, as for a bad pair or method. Its
+    out-degree at alpha is |beta^(G_alpha)|, so without the fast method no
+    stabilizer is built; the fast verdict always reads the stabilizer, so
+    that it stays independent of the graph.
     """
     if unknown := [m for m in methods if m not in METHODS]:
         raise ValueError(f"unknown method {unknown[0]!r}")
-    sizes = _pair_orbit_sizes(group, alpha, beta)
+    check_base_pair(group.degree, alpha, beta)
+    k = None
     if graph is not None:
         if graph.degree != group.degree:
             raise ValueError("graph and group degrees differ")
         if not graph.has_arc(alpha, beta):
             raise ValueError(f"base pair ({alpha},{beta}) is not an arc of the graph")
+        if "fast" not in methods:
+            k = len(graph.out_adj[alpha - 1])
+    sizes = _pair_orbit_sizes(group, alpha, beta, k)
     n, k, _, same_orbit = sizes
     bounds = _bounds(sizes)
     records, found = [], None

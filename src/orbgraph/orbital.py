@@ -149,13 +149,18 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
     return [OrbitalGraph(n, pair, o, i) for pair, o, i in zip(pairs, out, inn)]
 
 
-def _pair_orbit_sizes(group: PermGroup, alpha: int, beta: int) -> tuple[int, int, int, bool]:
+def _pair_orbit_sizes(
+    group: PermGroup, alpha: int, beta: int, k: int | None = None
+) -> tuple[int, int, int, bool]:
     """Check the base pair and return |alpha^G|, |beta^(G_alpha)|, |beta^G|
     and whether beta lies in alpha's orbit: all that the arc count, the
-    fast futility test and the arc-count thresholds read."""
+    fast futility test and the arc-count thresholds read. A given k is
+    |beta^(G_alpha)| read off the pair's graph; otherwise it comes from
+    alpha's stabilizer."""
     check_base_pair(group.degree, alpha, beta)
     orb_a, orb_b = group.orbit(alpha), group.orbit(beta)
-    k = len(group.point_stabilizer(alpha).orbit(beta))
+    if k is None:
+        k = len(group.point_stabilizer(alpha).orbit(beta))
     # a group hands out one tuple per orbit, so equal orbits are one object
     return len(orb_a), k, len(orb_b), orb_b is orb_a
 

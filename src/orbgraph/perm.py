@@ -1,6 +1,7 @@
 """Permutations of {1..n}, permutation groups with Schreier-tree orbits
-and point stabilizers and a stabilizer chain for order, membership and
-transitivity degree, and ordered partitions of the point domain.
+and point stabilizers, order and transitivity degree read from the
+stabilizer of point 1, a stabilizer chain for membership, and ordered
+partitions of the point domain.
 
 Points are 1-based throughout and every value is treated as immutable once
 constructed. Composition follows the right-action convention: the image of
@@ -365,11 +366,13 @@ class PermGroup:
 
     The orbits are found when the group is built. Two things are computed
     on first use and then cached: one stabilizer subgroup per point, and
-    the stabilizer chain with base 1..degree, which serves order,
-    membership and transitivity degree. The lock guards only the chain, so
-    a first use from several threads builds it exactly once. The
-    stabilizer cache needs no lock: a racing thread at worst repeats the
-    work and stores an equal value.
+    the stabilizer chain with base 1..degree. Order and transitivity degree
+    read the orbit of 1 and the chain of the stabilizer of 1, so they build
+    no chain of the group's own; its chain serves membership. The lock
+    guards only the chain, so a first use from several threads builds it
+    exactly once. The stabilizer cache needs no lock: a racing thread at
+    worst repeats the work and stores an equal value, and every thread
+    gets the one that was stored.
     """
 
     def __init__(self, degree: int, generators=()):
@@ -408,8 +411,10 @@ class PermGroup:
         return self._chain
 
     def order(self) -> int:
-        n = 1
-        for lvl in self.chain:
+        """|1^G| times |G_1|, the product of the transversal sizes of the
+        chain of the stabilizer of 1."""
+        n = len(self.orbit(1))
+        for lvl in self.point_stabilizer(1).chain:
             n *= len(lvl.transversal)
         return n
 
@@ -483,12 +488,15 @@ class PermGroup:
         """Largest k with the group k-transitive on its domain, 0 when it is
         not even transitive. The group is k-transitive exactly when, for
         each i < k, the pointwise stabilizer of 1..i is transitive on
-        i+1..degree, that is when chain level i has a basic orbit of
-        degree - i points; so this counts those leading levels."""
-        k = 0
-        for i, lvl in enumerate(self.chain):
-            if len(lvl.transversal) != self.degree - i:
-                break
+        i+1..degree, that is when it is transitive and, for 1 <= i < k, the
+        orbit of i + 1 under that stabilizer has degree - i points. That
+        orbit is level i of the chain of the stabilizer of 1, so this
+        counts those leading levels after level 0."""
+        if not self.is_transitive():
+            return 0
+        chain = self.point_stabilizer(1).chain
+        k = 1
+        while k < self.degree and len(chain[k].transversal) == self.degree - k:
             k += 1
         return k
 

@@ -386,6 +386,27 @@ class TestVerdictRecord:
                 assert len(searches) == 1
                 assert records == [verdict_record(group, alpha, beta, m, g) for m in METHODS]
 
+    def test_given_graph_spares_the_stabilizer(self, monkeypatch, corpus_sample):
+        # without the fast method, a given graph's out-degree at alpha is
+        # the stabilizer orbit size, and the records stay as they were
+        groups = [*corpus_sample, cyclic_group(200)]
+        methods = (["structural"], ["oracle"], ["structural", "oracle"])
+        cases = []
+        for group in groups:
+            for alpha, beta in enumerate_base_pairs(group):
+                g = build_orbital_graph(group, alpha, beta)
+                for m in methods:
+                    cases.append((group, alpha, beta, m, g, verdict_records(group, alpha, beta, m)))
+
+        def no_stabilizer(*_):
+            raise AssertionError("point stabilizer built")
+
+        monkeypatch.setattr(PermGroup, "point_stabilizer", no_stabilizer)
+        for group, alpha, beta, m, g, expected in cases:
+            assert verdict_records(group, alpha, beta, m, g) == expected
+        with pytest.raises(AssertionError, match="point stabilizer"):
+            verdict_records(*cases[0][:3], ["fast", "structural"], cases[0][4])
+
     def test_all_methods_read_the_orbit_sizes_once(self, monkeypatch, corpus_sample):
         reads = []
         sizes = futility._pair_orbit_sizes

@@ -1,9 +1,11 @@
 """Permutation arithmetic, parsing, orbits, stabilizer chains, partitions."""
 
+import gc
 import random
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from math import factorial
+from contextlib import contextmanager
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from support import (
     brute_orbit,
     brute_stabilizer,
     brute_transitivity_degree,
+    cyclic_group,
     dihedral_group,
     group_from,
     group_from_maps,
@@ -263,16 +266,35 @@ class TestStabilizerChain:
         assert parse_cycles(cycle, group.degree) not in group
 
     def test_chain_built_once_under_concurrent_first_use(self):
+        # order reads the chain of the stabilizer of 1, which every thread
+        # gets from the group's cache, so that chain is built exactly once
         group = group_from(8, "(1,2,3,4,5,6,7,8)", "(1,2)")
-        with ThreadPoolExecutor(8) as pool:
-            orders = list(pool.map(lambda _: group.order(), range(16)))
+        with counted_chain_builds() as built:
+            with ThreadPoolExecutor(8) as pool:
+                orders = list(pool.map(lambda _: group.order(), range(16)))
         assert set(orders) == {40320}
+        assert len(built) == 1 and built[0] is group.point_stabilizer(1).generators
         assert group.chain is group.chain
 
     def test_empty_generator_list_gives_trivial_group(self):
         group = PermGroup(4, [])
         assert group.order() == 1
         assert len(group.generators) == 1
+
+
+@contextmanager
+def counted_chain_builds():
+    """Record the generator tuple of every stabilizer chain built."""
+    built = []
+    real = orbgraph.perm._build_chain
+
+    def counted(degree, generators):
+        built.append(generators)
+        return real(degree, generators)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbgraph.perm, "_build_chain", counted)
+        yield built
 
 
 def check_chain(group):
@@ -308,6 +330,62 @@ class TestChainInvariants:
         check_chain(group)
         assert group.order() == 1200
         assert group.transitivity_degree() == 1
+
+
+def check_order_reads_stabilizer_chain(group):
+    """order and transitivity degree of a fresh copy build the chain of
+    the stabilizer of 1 and no other, and agree with the product of the
+    transversal sizes and the count of leading full levels of the group's
+    own chain."""
+    group = PermGroup(group.degree, group.generators)
+    with counted_chain_builds() as built:
+        order, td = group.order(), group.transitivity_degree()
+    assert len(built) == 1 and built[0] is group.point_stabilizer(1).generators
+    assert order == prod(len(lvl.transversal) for lvl in group.chain)
+    leading = 0
+    for i, lvl in enumerate(group.chain):
+        if len(lvl.transversal) != group.degree - i:
+            break
+        leading += 1
+    assert td == leading
+    return order, td
+
+
+class TestOrderReadsStabilizerChain:
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_known_families(self, name):
+        check_order_reads_stabilizer_chain(FAMILIES[name]())
+
+    def test_corpus(self, corpus_sample):
+        for group in corpus_sample:
+            check_order_reads_stabilizer_chain(group)
+
+    @given(groups_st(min_degree=1, max_degree=8))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_brute_force(self, group):
+        order, td = check_order_reads_stabilizer_chain(group)
+        if order <= 5040:
+            elements = all_elements(group)
+            assert order == len(elements)
+            assert td == brute_transitivity_degree(elements, group.degree)
+
+    @pytest.mark.parametrize("family", [cyclic_group, dihedral_group])
+    def test_order_keeps_linear_memory(self, family):
+        # the memory still held after order: the stabilizer of 1 and its
+        # chain, linear in the degree, where a chain of the group's own
+        # holds |1^G| image tables of degree n
+        def held(n):
+            group = family(n)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                group.order()
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        assert held(2000) < 8 * held(500)
 
 
 def relabelled(group, rng):
@@ -384,7 +462,15 @@ class TestMatchesReference:
             monkeypatch.setattr(owner, name, counted)
         group = PermGroup.symmetric(24)
         assert group.order() == factorial(24)
-        assert 0 < len(calls) <= sum(len(lvl.transversal) for lvl in group.chain) == 300
+        stab_chain = group.point_stabilizer(1).chain
+        assert 0 < len(calls) <= len(group.orbit(1)) + sum(
+            len(lvl.transversal) for lvl in stab_chain
+        )
+        # the group's own chain, read on its own
+        group = PermGroup.symmetric(24)
+        calls.clear()
+        chain = group.chain
+        assert 0 < len(calls) <= sum(len(lvl.transversal) for lvl in chain) == 300
 
     def test_each_tree_element_inverted_at_most_once(self, monkeypatch):
         # ten random generators of degree 50 reach each point about ten
@@ -412,7 +498,7 @@ class TestMatchesReference:
             reference_size = tracemalloc.get_traced_memory()[0]
             del expected
             base = tracemalloc.get_traced_memory()[0]
-            group.order()
+            group.chain
             size = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
