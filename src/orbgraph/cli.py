@@ -3,13 +3,15 @@
 Subcommands: orbits, graph, base-pairs, futility, refine. The group comes
 from a file, or inline when the argument starts with "degree:" or contains
 a newline. Exit codes: 0 success, 1 usage error, 2 input error, 3 internal
-verdict disagreement or other internal error.
+verdict disagreement or other internal error, 141 when the reader of
+standard output closed it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .futility import METHODS, verdict_records
@@ -236,4 +238,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early, as `| head` does; aim stdout at devnull
+        # so the interpreter's last flush fails no more, and exit with the
+        # status a shell gives a process killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)

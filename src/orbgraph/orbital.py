@@ -83,11 +83,15 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
     r^g. So one breadth-first walk of r's orbit serves all of r's graphs:
     it carries the row (r,) + D_b1 + D_b2 + ... along, the row at y = x^s
     being the row at x mapped by s, and graph (r, b)'s out-list at x is
-    its slice of the row at x, sorted. The rows are as large as r's
-    graphs and are dropped once those are read. The reverse of (alpha,
-    beta) is the graph whose slice of the row at beta holds alpha, with
-    tail the least point of beta's orbit; its out_adj is (alpha, beta)'s
-    in_adj, the same tuple, so a self-paired graph has in_adj is out_adj.
+    its slice of the row at x, sorted. Every out-list is an ascending
+    tuple. A one-point list is the call's one tuple (p,) for its point,
+    shared by all graphs the call builds; a two-point slice is ordered by
+    one comparison, and only wider slices are sorted. The rows are as
+    large as r's graphs and are dropped once those are read. The reverse
+    of (alpha, beta) is the graph whose slice of the row at beta holds
+    alpha, with tail the least point of beta's orbit; its out_adj is
+    (alpha, beta)'s in_adj, the same tuple, so a self-paired graph has
+    in_adj is out_adj.
 
     build_orbital_graph serves a single pair: it needs no stabilizer,
     where a stabilizer costs Theta(n^2) on a group like C_n.
@@ -108,6 +112,7 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
     tables = [(0,) + g.images for g in group.generators]
     out: list = [None] * len(pairs)
     inn: list = [None] * len(pairs)
+    singles = None  # shared by every one-point out-list of the call
     for r, idx in by_tail.items():
         stab = group.point_stabilizer(r)
         # a row starts with its own point, so it has at least two points
@@ -132,9 +137,15 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
         orbit = group.orbit(r)
         ordered = list(map(rows.__getitem__, orbit))
         for i, lo, hi in zip(idx, starts, starts[1:] + [len(cat)]):
-            lists = map(itemgetter(slice(lo, hi)), ordered)
-            if hi - lo > 1:  # a one-point slice is sorted already
-                lists = map(tuple, map(sorted, lists))
+            if hi - lo == 1:
+                if singles is None:
+                    singles = tuple(zip(range(n + 1)))  # (p,) at index p
+                lists = map(singles.__getitem__, map(itemgetter(lo), ordered))
+            elif hi - lo == 2:
+                column = zip(map(itemgetter(lo), ordered), map(itemgetter(lo + 1), ordered))
+                lists = [(a, b) if a < b else (b, a) for a, b in column]
+            else:
+                lists = map(tuple, map(sorted, map(itemgetter(slice(lo, hi)), ordered)))
             if len(orbit) == n:
                 out[i] = tuple(lists)
             else:  # a point off r's orbit is no tail

@@ -360,6 +360,27 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout == "[1|2,3|4,6|5|7]\n"
 
 
+def test_reader_closing_the_pipe_early():
+    # D_400's verdict records run to about 126 KB, more than a pipe holds,
+    # so the command meets the closed pipe however the two sides are timed;
+    # it exits as SIGPIPE would and prints no traceback
+    n = 400
+    group = "\n".join(
+        [
+            f"degree: {n}",
+            "(" + ",".join(map(str, range(1, n + 1))) + ")",
+            "".join(f"({x},{n + 1 - x})" for x in range(1, n // 2 + 1)),
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(orbgraph.__file__).parents[1]))
+    argv = [sys.executable, "-m", "orbgraph", "futility", group, "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(100).startswith(b'[{"base_pair": [1, 2], ')
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [

@@ -144,6 +144,8 @@ def assert_builders_agree(group):
     graphs = build_orbital_graphs(group, pairs)
     assert [g.base_pair for g in graphs] == pairs
     assert_matches_closure(group, graphs)
+    for heads in (heads for g in graphs for heads in g.out_adj):
+        assert type(heads) is tuple and all(a < b for a, b in zip(heads, heads[1:]))
     useful = select_useful_graphs(group)
     assert [pair for pair, _ in useful] == [p for p in pairs if not is_futile_fast(group, *p)]
     assert all(g.base_pair == pair for pair, g in useful)
@@ -158,6 +160,10 @@ FORMULA_GROUPS = (
     + [wreath_group(3, 4), wreath_group(4, 3), wreath_group(2, 5)]
     + [product_action_group(3, 3), product_action_group(4, 2), product_action_group(3, 5)]
     + [disjoint_symmetric_groups(3, 4), PermGroup(4)]
+    # one-point slices off a tail's orbit: C_5 x C_7 on 12 points, and D_10
+    # with its antipodal one-point slice on 12 points, two of them fixed
+    + [group_from(12, "(1,2,3,4,5)", "(6,7,8,9,10,11,12)")]
+    + [group_from(12, "(1,2,3,4,5,6,7,8,9,10)", "(2,10)(3,9)(4,8)(5,7)")]
 )
 
 
@@ -185,9 +191,9 @@ class TestBuildMany:
     @pytest.mark.parametrize("build", [cyclic_group, dihedral_group])
     def test_useful_graphs_share_paired_lists(self, build):
         # with the stabilizers warm, a graph keeps its out-lists and borrows
-        # its in-lists from the paired graph: a 1-point out-list is a 48-byte
-        # tuple, so C_200 keeps about 54 bytes per arc and D_200 about 30,
-        # where one closure per graph kept 111 and 63
+        # its in-lists from the paired graph; equal 1-point out-lists are
+        # one shared tuple, so C_200 keeps about 9 bytes per arc (a pointer)
+        # and D_200, whose out-lists are mostly 2-point tuples, about 30
         group = build(200)
         select_useful_graphs(group)
         tracemalloc.start()
@@ -200,7 +206,13 @@ class TestBuildMany:
         graphs = [graph for _, graph in useful]
         arcs = sum(sum(map(len, g.out_adj)) for g in graphs)
         assert arcs == 200 * 199
-        assert kept < 80 * arcs
+        assert kept < (16 if build is cyclic_group else 80) * arcs
+        one_point = {}
+        for g in graphs:
+            for heads in g.out_adj:
+                if len(heads) == 1:
+                    assert one_point.setdefault(heads, heads) is heads
+        assert len(one_point) == 200  # D_200: the antipodal graph
         self_paired = 0
         for g in graphs:
             paired = paired_graph(graphs, g)
