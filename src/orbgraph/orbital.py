@@ -50,12 +50,11 @@ def build_orbital_graph(group: PermGroup, alpha: int, beta: int) -> OrbitalGraph
     pairs. Forward images suffice for the same reason as in point orbits."""
     n = group.degree
     check_base_pair(n, alpha, beta)
-    images = [g.images for g in group.generators]
     seen = {(alpha, beta)}
     pairs = [(alpha, beta)]  # the visit order, which grows while it is read
     for x, y in pairs:
-        for im in images:
-            pair = (im[x - 1], im[y - 1])
+        for t in group._tables:
+            pair = (t[x], t[y])
             if pair not in seen:
                 seen.add(pair)
                 pairs.append(pair)
@@ -109,7 +108,6 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
     not_closed = "pair set is not closed under pairing"
     if not by_head.keys() <= by_tail.keys():
         raise ValueError(not_closed)
-    tables = [(0,) + g.images for g in group.generators]
     out: list = [None] * len(pairs)
     inn: list = [None] * len(pairs)
     singles = None  # shared by every one-point out-list of the call
@@ -129,7 +127,7 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
         for row in walk:
             get = itemgetter(*row)
             x = row[0]
-            for t in tables:
+            for t in group._tables:
                 y = t[x]
                 if y not in rows:
                     rows[y] = get(t)

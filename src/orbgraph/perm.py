@@ -218,43 +218,46 @@ class OrderedPartition:
 
 class _ChainLevel:
     """One level of a stabilizer chain: a base point, the strong generators
-    attached at this level, and a transversal u[x] with point^u = x."""
+    attached at this level, and a transversal u[x] with point^u = x. Every
+    entry is an image table led by an unused 0, as PermGroup's tables are,
+    so u[point] == x."""
 
     __slots__ = ("point", "gens", "transversal")
 
-    def __init__(self, point: int, transversal: dict[int, Permutation]):
+    def __init__(self, point: int, transversal: dict[int, tuple[int, ...]]):
         self.point = point
-        self.gens: list[Permutation] = []
+        self.gens: list[tuple[int, ...]] = []
         self.transversal = transversal
 
 
-def _inverse_table(images: tuple[int, ...], one: tuple[int, ...]) -> list[int]:
-    """Image table of the inverse of images, led by an unused 0 so that a
-    1-based image indexes it. Its entries are one's int objects, so a
-    product divided by it holds no ints of its own."""
-    inv = [0] * (len(images) + 1)
-    for pre, post in zip(one, images):
+def _inverse_table(table: tuple[int, ...], one: tuple[int, ...]) -> list[int]:
+    """Inverse of an image table led by an unused 0, itself led by 0, as
+    one's leading 0 pairs with the table's, so that a 1-based image
+    indexes it. Its entries are one's int objects, so a product divided by
+    it holds no ints of its own."""
+    inv = [0] * len(table)
+    for pre, post in zip(one, table):
         inv[post] = pre
     return inv
 
 
 def _sift(levels: list[_ChainLevel], h: tuple[int, ...], start: int, inverses: dict):
-    """Divide transversal elements off the image table h from level start
-    down, until h escapes a transversal, becomes the identity or has
-    passed every level. Returns the residue and the index of the level it
-    stopped at, len(levels) once it is the identity. A level whose point h
-    fixes is passed without multiplying, since its representative is the
-    identity, and one tuple comparison after each division spots the
-    identity, which passes every remaining level.
+    """Divide transversal elements off the image table h, led by an unused
+    0, from level start down, until h escapes a transversal, becomes the
+    identity or has passed every level. Returns the residue and the index
+    of the level it stopped at, len(levels) once it is the identity. A
+    level whose point h fixes is passed without multiplying, since its
+    representative is the identity, and one tuple comparison after each
+    division spots the identity, which passes every remaining level.
 
     inverses maps (level index, point) to the inverse table of that
     transversal entry. A missing table is made on first use and stored,
     so a caller that passes one dict to many sifts inverts each entry at
     most once."""
-    one = levels[0].transversal[1].images
+    one = levels[0].transversal[1]
     for i in range(start, len(levels)):
         lvl = levels[i]
-        x = h[lvl.point - 1]
+        x = h[lvl.point]
         if x == lvl.point:
             continue
         u = lvl.transversal.get(x)
@@ -262,20 +265,21 @@ def _sift(levels: list[_ChainLevel], h: tuple[int, ...], start: int, inverses: d
             return h, i
         inv = inverses.get((i, x))
         if inv is None:
-            inv = inverses[i, x] = _inverse_table(u.images, one)
+            inv = inverses[i, x] = _inverse_table(u, one)
         h = itemgetter(*h)(inv)
         if h == one:
             break
     return h, len(levels)
 
 
-def _build_chain(degree: int, generators) -> list[_ChainLevel]:
+def _build_chain(degree: int, tables) -> list[_ChainLevel]:
     """Deterministic incremental Schreier-Sims (Knuth, 1991) with the fixed
-    base 1, 2, ..., degree.
+    base 1, 2, ..., degree, over the generators' image tables led by an
+    unused 0.
 
     Level i has base point i + 1. Every level exists from the start, a
     level nothing moves keeps the one-point transversal, and all levels
-    share one identity object, so a group with many fixed points costs a
+    share one identity table, so a group with many fixed points costs a
     small dict per level. Transversals grow in place and an entry, once
     stored, never changes, so a sift that passed stays valid.
 
@@ -294,68 +298,68 @@ def _build_chain(degree: int, generators) -> list[_ChainLevel]:
     1..i. A residue that passes every level fixes every point and is the
     identity.
 
-    Products and residues are bare image tables; only the entries stored
-    as transversal elements or strong generators become Permutations.
-    Each transversal element is inverted at most once, on first use, and
-    the inverse tables are dropped on return, so the chain keeps none.
+    Products, residues and stored entries are all bare image tables led by
+    0, so each table has at least two entries and itemgetter over it
+    returns a tuple. Each transversal element is inverted at most once, on
+    first use, and the inverse tables are dropped on return, so the chain
+    keeps none.
     """
-    ident = Permutation.identity(degree)
-    levels = [_ChainLevel(p, {p: ident}) for p in range(1, degree + 1)]
+    one = tuple(range(degree + 1))
+    levels = [_ChainLevel(p, {p: one}) for p in range(1, degree + 1)]
     inverses: dict[tuple[int, int], list[int]] = {}
     stack: list[tuple[int, tuple[int, ...]]] = []
 
     def add(i, h):
         levels[i].gens.append(h)
-        table = (0,) + h.images
-        stack.extend((i, itemgetter(*u.images)(table)) for u in levels[i].transversal.values())
+        stack.extend((i, itemgetter(*u)(h)) for u in levels[i].transversal.values())
 
-    for g in generators:
-        if _sift(levels, g.images, 0, inverses)[1] < degree:
+    for g in tables:
+        if _sift(levels, g, 0, inverses)[1] < degree:
             add(0, g)
         while stack:
             i, w = stack.pop()
             lvl = levels[i]
-            x = w[lvl.point - 1]
+            x = w[lvl.point]
             u = lvl.transversal.get(x)
             if u is None:
-                lvl.transversal[x] = Permutation._unchecked(w)
+                lvl.transversal[x] = w
                 get = itemgetter(*w)
-                stack.extend((i, get((0,) + s.images)) for s in lvl.gens)
-            elif u.images != w:  # else a trivial Schreier generator, as on every tree edge
+                stack.extend((i, get(s)) for s in lvl.gens)
+            elif u != w:  # else a trivial Schreier generator, as on every tree edge
                 # sifting from level i divides by u first, giving the
                 # Schreier generator w * u^-1 from level i + 1 on
                 h, m = _sift(levels, w, i, inverses)
                 if m < degree:
-                    add(i + 1, Permutation._unchecked(h))
+                    add(i + 1, h)
     return levels
 
 
-def _orbits(degree: int, generators) -> tuple[list[tuple[int, ...]], OrderedPartition]:
-    """The orbits of the generated group: a point-to-orbit table and the
-    orbit partition, cells ascending by minimal point, holding one sorted
-    tuple per orbit, so a point's table entry is its partition cell. Each
-    orbit is one breadth-first closure under the generators. Forward
-    images suffice: a generator maps the finite closure into itself
-    injectively, hence onto itself."""
-    images = [g.images for g in generators]
-    orbit_of: list = [None] * degree
+def _orbits(degree: int, tables) -> tuple[list[tuple[int, ...]], OrderedPartition]:
+    """The orbits of the group generated by the image tables, each led by
+    an unused 0: a table from point to orbit, whose slot 0 is unused, and
+    the orbit partition, cells ascending by minimal point, holding one
+    sorted tuple per orbit, so a point's table entry is its partition
+    cell. Each orbit is one breadth-first closure under the generators.
+    Forward images suffice: a generator maps the finite closure into
+    itself injectively, hence onto itself."""
+    orbit_of: list = [None] * (degree + 1)
     cells = []
     for p in range(1, degree + 1):
-        if orbit_of[p - 1] is not None:
+        if orbit_of[p] is not None:
             continue
         # orbit_of marks a point found by pointing it at the open orbit's
         # list, which grows while it is read
         orbit = [p]
-        orbit_of[p - 1] = orbit
+        orbit_of[p] = orbit
         for x in orbit:
-            for im in images:
-                y = im[x - 1]
-                if orbit_of[y - 1] is None:
-                    orbit_of[y - 1] = orbit
+            for t in tables:
+                y = t[x]
+                if orbit_of[y] is None:
+                    orbit_of[y] = orbit
                     orbit.append(y)
         cell = tuple(sorted(orbit))
         for q in cell:
-            orbit_of[q - 1] = cell
+            orbit_of[q] = cell
         cells.append(cell)
     # the closures are disjoint, sorted and cover 1..degree
     return orbit_of, OrderedPartition._unchecked(degree, tuple(cells))
@@ -363,6 +367,12 @@ def _orbits(degree: int, generators) -> tuple[list[tuple[int, ...]], OrderedPart
 
 class PermGroup:
     """Group generated by permutations of {1..degree}.
+
+    The generators are kept as given and, tabled once when the group is
+    built, as image tables led by an unused 0, so that a 1-based point
+    indexes them. Orbits, point stabilizers, the chain and the orbital
+    graph builders all compose those tables; Permutations appear only at
+    the edge, as the generators and the stabilizers' generators.
 
     The orbits are found when the group is built. Two things are computed
     on first use and then cached: one stabilizer subgroup per point, and
@@ -388,10 +398,11 @@ class PermGroup:
             gens = (Permutation.identity(degree),)
         self.degree = degree
         self.generators = gens
+        self._tables = tuple((0,) + g.images for g in gens)
         self._lock = threading.Lock()
         self._chain: list[_ChainLevel] | None = None
         self._stabilizers: dict[int, "PermGroup"] = {}
-        self._orbit_of, self._orbit_partition = _orbits(degree, gens)
+        self._orbit_of, self._orbit_partition = _orbits(degree, self._tables)
 
     @classmethod
     def symmetric(cls, degree: int) -> "PermGroup":
@@ -407,7 +418,7 @@ class PermGroup:
         if self._chain is None:
             with self._lock:
                 if self._chain is None:
-                    self._chain = _build_chain(self.degree, self.generators)
+                    self._chain = _build_chain(self.degree, self._tables)
         return self._chain
 
     def order(self) -> int:
@@ -422,13 +433,13 @@ class PermGroup:
         if not isinstance(perm, Permutation) or perm.degree != self.degree:
             return False
         # a fresh dict: this query inverts at most one entry per level and keeps none
-        return _sift(self.chain, perm.images, 0, {})[1] == self.degree
+        return _sift(self.chain, (0,) + perm.images, 0, {})[1] == self.degree
 
     def orbit(self, point: int) -> tuple[int, ...]:
         """Sorted orbit of a point: its cell of the orbit partition."""
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")
-        return self._orbit_of[point - 1]
+        return self._orbit_of[point]
 
     def orbit_partition(self) -> OrderedPartition:
         """Orbits as an ordered partition, cells ascending by minimal point."""
@@ -445,42 +456,40 @@ class PermGroup:
         kept in tree order, so the generators are deterministic. No
         stabilizer chain is built.
 
-        One breadth-first pass over the orbit builds the tree of bare image
+        One breadth-first pass over the orbit builds the tree of image
         tables and collects the generators at once: the product u_x * s
         that first reaches a point y becomes u_y, so a tree edge gives the
         identity and is never kept, and every later product reaching y is
-        divided by u_y. Each u_y is inverted at most once, and only the
-        kept generators become Permutations."""
+        divided by u_y. Each u_y is inverted at most once. Every table is
+        led by an unused 0, so it has at least two entries and itemgetter
+        over it returns a tuple, at degree 1 too; only the kept generators
+        become Permutations, with the 0 sliced off."""
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")
         cached = self._stabilizers.get(point)
         if cached is not None:
             return cached
+        one = tuple(range(self.degree + 1))
+        # breadth first, so that each u_x is a shortest word in the
+        # generators; order grows while it is read
+        tree = {point: one}
+        order = [point]
+        inverses: dict[int, list[int]] = {}
         gens: dict[tuple[int, ...], None] = {}
-        # at degree 1 the group is trivial, and itemgetter with one index
-        # would return a scalar, not an image table
-        if self.degree > 1:
-            one = Permutation.identity(self.degree).images
-            tables = [(0,) + s.images for s in self.generators]
-            # breadth first, so that each u_x is a shortest word in the
-            # generators; order grows while it is read
-            tree = {point: one}
-            order = [point]
-            inverses: dict[int, list[int]] = {}
-            for x in order:
-                get = itemgetter(*tree[x])
-                for s, table in zip(self.generators, tables):
-                    y = s.images[x - 1]
-                    us, uy = get(table), tree.get(y)
-                    if uy is None:
-                        tree[y] = us
-                        order.append(y)
-                    elif us != uy:
-                        inv = inverses.get(y)
-                        if inv is None:
-                            inv = inverses[y] = _inverse_table(uy, one)
-                        gens.setdefault(itemgetter(*us)(inv))
-        stab = PermGroup(self.degree, map(Permutation._unchecked, gens))
+        for x in order:
+            get = itemgetter(*tree[x])
+            for t in self._tables:
+                y = t[x]
+                us, uy = get(t), tree.get(y)
+                if uy is None:
+                    tree[y] = us
+                    order.append(y)
+                elif us != uy:
+                    inv = inverses.get(y)
+                    if inv is None:
+                        inv = inverses[y] = _inverse_table(uy, one)
+                    gens.setdefault(itemgetter(*us)(inv))
+        stab = PermGroup(self.degree, [Permutation._unchecked(g[1:]) for g in gens])
         self._stabilizers.setdefault(point, stab)
         return self._stabilizers[point]
 

@@ -168,6 +168,79 @@ def _stdout(argv) -> str:
     return out.getvalue()
 
 
+def _records(pair, shape, arcs):
+    return [
+        {
+            "base_pair": list(pair),
+            "futile": True,
+            "shape": shape,
+            "method": method,
+            "witness": None,
+            "arc_count": arcs,
+            "thresholds": {"threshold": 0, "exceeds": True},
+        }
+        for method in ("fast", "structural", "oracle")
+    ]
+
+
+HEADER = "pair      arcs  futile  paired  shape               components"
+
+# no golden group has degree below 4; every image table of these has two
+# or three entries, the fewest an itemgetter over it is built from
+SMALL_DEGREES = {
+    "degree: 1": {
+        "futility": ["degree 1, order 1, transitivity degree 1", "orbit partition [1]", HEADER],
+        "json": [],
+        "base-pairs": [],
+        "orbits": "[1]",
+    },
+    "degree: 2": {
+        "futility": [
+            "degree 2, order 1, transitivity degree 0",
+            "orbit partition [1|2]",
+            HEADER,
+            "(1,2)        1  yes     no      complete-bipartite  2",
+            "(2,1)        1  yes     no      complete-bipartite  2",
+        ],
+        "json": _records((1, 2), "complete-bipartite", 1)
+        + _records((2, 1), "complete-bipartite", 1),
+        "base-pairs": ["1,2", "2,1"],
+        "orbits": "[1|2]",
+    },
+    "degree: 2\n(1,2)": {
+        "futility": [
+            "degree 2, order 2, transitivity degree 2",
+            "orbit partition [1,2]",
+            HEADER,
+            "(1,2)        2  yes     yes     complete-on-orbit   2",
+        ],
+        "json": _records((1, 2), "complete-on-orbit", 2),
+        "base-pairs": ["1,2"],
+        "orbits": "[1,2]",
+    },
+}
+
+
+def _lines(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("text", SMALL_DEGREES)
+class TestSmallDegrees:
+    def test_futility_table(self, text):
+        assert _stdout(["futility", text]) == _lines(SMALL_DEGREES[text]["futility"])
+
+    def test_futility_json(self, text):
+        expected = json.dumps(SMALL_DEGREES[text]["json"])
+        assert _stdout(["futility", text, "--json"]) == _lines([expected])
+
+    def test_base_pairs(self, text):
+        assert _stdout(["base-pairs", text]) == _lines(SMALL_DEGREES[text]["base-pairs"])
+
+    def test_orbits(self, text):
+        assert _stdout(["orbits", text]) == _lines([SMALL_DEGREES[text]["orbits"]])
+
+
 class TestFastOnly:
     @pytest.mark.parametrize("name,text", FAST_CASES)
     def test_table_matches_all_methods(self, name, text):

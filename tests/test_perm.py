@@ -174,6 +174,15 @@ class TestOrbits:
         with pytest.raises(ValueError):
             two_swaps.orbit(8)
 
+    @pytest.mark.parametrize("point", [0, -1, 8])
+    def test_points_off_the_domain_raise(self, two_swaps, point):
+        # the group's tables are indexed by point and have a slot 0, so
+        # only the range check stops 0 and negative points
+        with pytest.raises(ValueError, match="out of range"):
+            two_swaps.orbit(point)
+        with pytest.raises(ValueError, match="out of range"):
+            two_swaps.point_stabilizer(point)
+
     def test_orbit_partition_examples(self, two_swaps, two_triangles):
         assert two_swaps.orbit_partition().cells == ((1,), (2, 3), (4, 6), (5,), (7,))
         assert two_triangles.orbit_partition().cells == ((1, 2, 3, 4, 5, 6), (7, 8, 9))
@@ -273,7 +282,7 @@ class TestStabilizerChain:
             with ThreadPoolExecutor(8) as pool:
                 orders = list(pool.map(lambda _: group.order(), range(16)))
         assert set(orders) == {40320}
-        assert len(built) == 1 and built[0] is group.point_stabilizer(1).generators
+        assert len(built) == 1 and built[0] is group.point_stabilizer(1)._tables
         assert group.chain is group.chain
 
     def test_empty_generator_list_gives_trivial_group(self):
@@ -284,13 +293,13 @@ class TestStabilizerChain:
 
 @contextmanager
 def counted_chain_builds():
-    """Record the generator tuple of every stabilizer chain built."""
+    """Record the generator tables of every stabilizer chain built."""
     built = []
     real = orbgraph.perm._build_chain
 
-    def counted(degree, generators):
-        built.append(generators)
-        return real(degree, generators)
+    def counted(degree, tables):
+        built.append(tables)
+        return real(degree, tables)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orbgraph.perm, "_build_chain", counted)
@@ -299,17 +308,18 @@ def counted_chain_builds():
 
 def check_chain(group):
     """The invariants of a stabilizer chain with base 1..n, checked level
-    by level against the permutations it stores."""
+    by level against the image tables it stores, each led by an unused 0."""
     ident = group.chain[0].transversal[1]
+    assert ident == tuple(range(group.degree + 1))
     product = 1
     for i, lvl in enumerate(group.chain):
         assert lvl.point == i + 1
         assert lvl.transversal[i + 1] is ident
         for x, u in lvl.transversal.items():
-            assert u.images[i] == x
-            assert u.images[:i] == ident.images[:i]
+            assert u[i + 1] == x
+            assert u[: i + 1] == ident[: i + 1]
         for g in lvl.gens:
-            assert g.images[:i] == ident.images[:i]
+            assert g[: i + 1] == ident[: i + 1]
         product *= len(lvl.transversal)
     assert group.order() == product
 
@@ -340,7 +350,7 @@ def check_order_reads_stabilizer_chain(group):
     group = PermGroup(group.degree, group.generators)
     with counted_chain_builds() as built:
         order, td = group.order(), group.transitivity_degree()
-    assert len(built) == 1 and built[0] is group.point_stabilizer(1).generators
+    assert len(built) == 1 and built[0] is group.point_stabilizer(1)._tables
     assert order == prod(len(lvl.transversal) for lvl in group.chain)
     leading = 0
     for i, lvl in enumerate(group.chain):
@@ -427,10 +437,10 @@ def assert_matches_reference(group):
     order = 1
     for lvl, ref in zip(group.chain, expected):
         assert lvl.point == ref.point
-        assert [(x, u.images) for x, u in lvl.transversal.items()] == [
+        assert [(x, u[1:]) for x, u in lvl.transversal.items()] == [
             (x, u.images) for x, u in ref.transversal.items()
         ]
-        assert [h.images for h in lvl.gens] == [h.images for h in ref.gens]
+        assert [h[1:] for h in lvl.gens] == [h.images for h in ref.gens]
         order *= len(ref.transversal)
     assert group.order() == order
     for point in range(1, group.degree + 1):
