@@ -163,7 +163,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 class OrderedPartition:
     """An ordered sequence of disjoint, sorted cells covering {1..degree}.
 
-    Cell order is preserved as given; each cell is sorted ascending.
+    Cell order is preserved as given; each cell is sorted ascending. Every
+    point must be an int: a bool, float or str raises ValueError.
     """
 
     __slots__ = ("degree", "cells")
@@ -171,12 +172,20 @@ class OrderedPartition:
     def __init__(self, degree: int, cells):
         if degree < 1:
             raise ValueError("degree must be at least 1")
-        norm = tuple(tuple(sorted(c)) for c in cells)
+        cells = tuple(map(tuple, cells))
+        try:
+            norm = tuple(tuple(sorted(c)) for c in cells)
+        except TypeError:
+            # ints always compare, so a cell that cannot be sorted holds a
+            # point that is not an int, and the loop below reports it
+            norm = cells
         seen: set[int] = set()
         for cell in norm:
             if not cell:
                 raise ValueError("empty cell")
             for p in cell:
+                if type(p) is not int:
+                    raise ValueError(f"point {p!r} is not an integer")
                 if not 1 <= p <= degree:
                     raise ValueError(f"point {p} out of range 1..{degree}")
                 if p in seen:
@@ -368,11 +377,13 @@ def _orbits(degree: int, tables) -> tuple[list[tuple[int, ...]], OrderedPartitio
 class PermGroup:
     """Group generated by permutations of {1..degree}.
 
-    The generators are kept as given and, tabled once when the group is
-    built, as image tables led by an unused 0, so that a 1-based point
-    indexes them. Orbits, point stabilizers, the chain and the orbital
-    graph builders all compose those tables; Permutations appear only at
-    the edge, as the generators and the stabilizers' generators.
+    The generators are kept only as image tables led by an unused 0,
+    tabled once when the group is built, so that a 1-based point indexes
+    them. Orbits, point stabilizers, the chain and the orbital graph
+    builders all compose those tables. Permutations appear only at the
+    edge: each read of `generators` makes them afresh from the tables, so
+    it returns permutations equal to the ones given, in the same order,
+    not the caller's own objects.
 
     The orbits are found when the group is built. Two things are computed
     on first use and then cached: one stabilizer subgroup per point, and
@@ -396,13 +407,23 @@ class PermGroup:
                 )
         if not gens:
             gens = (Permutation.identity(degree),)
+        self._adopt(degree, tuple((0,) + g.images for g in gens))
+
+    @classmethod
+    def _unchecked(cls, degree: int, tables: tuple[tuple[int, ...], ...]) -> "PermGroup":
+        # image tables of valid permutations, led by an unused 0, need no
+        # re-validation
+        group = object.__new__(cls)
+        group._adopt(degree, tables)
+        return group
+
+    def _adopt(self, degree: int, tables: tuple[tuple[int, ...], ...]) -> None:
         self.degree = degree
-        self.generators = gens
-        self._tables = tuple((0,) + g.images for g in gens)
+        self._tables = tables
         self._lock = threading.Lock()
         self._chain: list[_ChainLevel] | None = None
         self._stabilizers: dict[int, "PermGroup"] = {}
-        self._orbit_of, self._orbit_partition = _orbits(degree, self._tables)
+        self._orbit_of, self._orbit_partition = _orbits(degree, tables)
 
     @classmethod
     def symmetric(cls, degree: int) -> "PermGroup":
@@ -412,6 +433,10 @@ class PermGroup:
         swap = parse_cycles("(1,2)", degree)
         cycle = Permutation._unchecked(tuple(list(range(2, degree + 1)) + [1]))
         return cls(degree, [swap, cycle])
+
+    @property
+    def generators(self) -> tuple[Permutation, ...]:
+        return tuple(Permutation._unchecked(t[1:]) for t in self._tables)
 
     @property
     def chain(self) -> list[_ChainLevel]:
@@ -462,8 +487,9 @@ class PermGroup:
         identity and is never kept, and every later product reaching y is
         divided by u_y. Each u_y is inverted at most once. Every table is
         led by an unused 0, so it has at least two entries and itemgetter
-        over it returns a tuple, at degree 1 too; only the kept generators
-        become Permutations, with the 0 sliced off."""
+        over it returns a tuple, at degree 1 too. The kept tables become the
+        stabilizer's own, and no Permutation is made; a trivial stabilizer
+        is generated by the identity, as a group given no generators is."""
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")
         cached = self._stabilizers.get(point)
@@ -489,7 +515,7 @@ class PermGroup:
                     if inv is None:
                         inv = inverses[y] = _inverse_table(uy, one)
                     gens.setdefault(itemgetter(*us)(inv))
-        stab = PermGroup(self.degree, [Permutation._unchecked(g[1:]) for g in gens])
+        stab = PermGroup._unchecked(self.degree, tuple(gens) or (one,))
         self._stabilizers.setdefault(point, stab)
         return self._stabilizers[point]
 

@@ -33,16 +33,25 @@ def refine_by_graph(partition: OrderedPartition, graph: OrbitalGraph) -> Refinem
     W, reading the adjacency of W's members only. One count array serves
     the whole call: an arc into W adds n + 1 to its tail's entry and an arc
     out of W adds 1 to its head's, so each entry orders exactly as the pair
-    (arcs into W, arcs from W). The vertices counted are listed at their
-    first count, and their entries go back to 0 once read. One dict keyed
-    by (cell start, count) and one sort then give the touched cells in
-    cell order, each with its fragments in ascending pair order, an
-    uncounted vertex having (0, 0). The fragments replace the parent in
-    place. If the parent was waiting in the queue, every fragment waits
-    there with it; otherwise every fragment but the first largest is
-    queued for the next round. Each splitter a vertex is popped in is at
-    most half the one before, so a vertex is in at most 1 + log2(n)
-    popped splitters and refinement reads O(m log n) adjacency entries.
+    (arcs into W, arcs from W). When the in-lists equal the out-lists, as
+    for a self-paired graph, every pair is (c, c), so one pass over the
+    out-lists adding n + 2 per arc counts it. The vertices counted are
+    listed at their first count, and their entries go back to 0 once read.
+    A point of a one-point cell, which cannot split, keeps an entry that
+    never returns to 0, so it is never listed. One dict keyed by (cell
+    start, count) and one sort then give the touched cells in cell order,
+    each with its fragments in ascending pair order, an uncounted vertex
+    having (0, 0). The fragments replace the parent in place. If the
+    parent was waiting in the queue, every fragment waits there with it;
+    otherwise every fragment but the first largest is queued for the next
+    round. Each splitter a vertex is popped in is at most half the one
+    before, so a vertex is in at most 1 + log2(n) popped splitters and
+    refinement reads O(m log n) adjacency entries.
+
+    A cell keeps the form it was made in, the caller's sorted tuple or the
+    list of a fragment, until it first splits; it then becomes a set, at
+    no more cost than making it took, and each later split removes only
+    the counted points. A cell that never split is output as given.
 
     A round is one generation of the queue: the splitters queued when it
     began, with the fragments they are split into. The output is the
@@ -54,42 +63,48 @@ def refine_by_graph(partition: OrderedPartition, graph: OrbitalGraph) -> Refinem
         raise ValueError("partition and graph degrees differ")
     n = partition.degree
     out_adj, in_adj = graph.out_adj, graph.in_adj
-    # a cell is keyed by its start, the number of points in earlier cells,
-    # so key order is cell order
-    cells: dict[int, set[int]] = {}
-    start_of = [0] * (n + 1)
-    start = 0
-    for cell in partition.cells:
-        cells[start] = set(cell)
-        for p in cell:
-            start_of[p] = start
-        start += len(cell)
-    queue = list(cells)
-    waiting = dict.fromkeys(queue, queue)  # start -> the generation it waits in
     # neither count of a pair exceeds n, so a count stays below span and
     # start * span + count orders as (start, arcs into W, arcs from W)
-    count = [0] * (n + 1)
     into = n + 1
     span = into * into
+    # equal in- and out-lists give every vertex a pair (c, c), counted in
+    # one pass as c * (n + 2)
+    passes = ((out_adj, into + 1),) if in_adj == out_adj else ((in_adj, into), (out_adj, 1))
+    # a cell is kept at its start, the number of points in earlier cells,
+    # so start order is cell order; it is the caller's tuple or the
+    # fragment's list until it first splits, and a set from then on
+    cells: list = [None] * n
+    waiting: list = [None] * n  # start -> the generation it waits in
+    start_of = [0] * (n + 1)
+    # the entry of a point in a one-point cell is set to 1 and only grows
+    count = [0] * (n + 1)
+    queue: list[int] = []
+    start = 0
+    for cell in partition.cells:
+        cells[start] = cell
+        waiting[start] = queue
+        queue.append(start)
+        for p in cell:
+            start_of[p] = start
+        if len(cell) == 1:
+            count[cell[0]] = 1
+        start += len(cell)
     rounds = 0
     while queue:
         rounds += 1
         later: list[int] = []
         # queue grows while it is read when a waiting cell splits
         for s in queue:
-            del waiting[s]
+            waiting[s] = None
             hit: list[int] = []
-            for v in cells[s]:
-                for w in in_adj[v - 1]:
-                    c = count[w]
-                    if not c:
-                        hit.append(w)
-                    count[w] = c + into
-                for w in out_adj[v - 1]:
-                    c = count[w]
-                    if not c:
-                        hit.append(w)
-                    count[w] = c + 1
+            splitter = cells[s]
+            for adj, weight in passes:
+                for v in splitter:
+                    for w in adj[v - 1]:
+                        c = count[w]
+                        if not c:
+                            hit.append(w)
+                        count[w] = c + weight
             groups: dict[int, list[int]] = {}
             for w in hit:
                 groups.setdefault(start_of[w] * span + count[w], []).append(w)
@@ -106,20 +121,26 @@ def refine_by_graph(partition: OrderedPartition, graph: OrbitalGraph) -> Refinem
                 cell = cells[t]
                 if len(counted) == 1 and len(counted[0]) == len(cell):
                     continue
+                if type(cell) is not set:
+                    cell = cells[t] = set(cell)
                 for members in counted:
                     cell.difference_update(members)
                 # what is left of the cell, if anything, has pair (0, 0)
                 # and comes first
                 starts, sizes = ([t], [len(cell)]) if cell else ([], [])
+                if len(cell) == 1:
+                    count[next(iter(cell))] = 1
                 start = t + len(cell)
                 for members in counted:
-                    cells[start] = set(members)
+                    cells[start] = members
                     for w in members:
                         start_of[w] = start
+                    if len(members) == 1:
+                        count[members[0]] = 1
                     starts.append(start)
                     sizes.append(len(members))
                     start += len(members)
-                generation = waiting.get(t)
+                generation = waiting[t]
                 if generation is None:
                     del starts[sizes.index(max(sizes))]
                     generation = later
@@ -129,8 +150,9 @@ def refine_by_graph(partition: OrderedPartition, graph: OrbitalGraph) -> Refinem
                     waiting[start] = generation
                     generation.append(start)
         queue = later
+    # a cell that is still the caller's tuple never split and is sorted
     output = OrderedPartition._unchecked(
-        n, tuple(tuple(sorted(cells[s])) for s in sorted(cells))
+        n, tuple(c if type(c) is tuple else tuple(sorted(c)) for c in cells if c is not None)
     )
     return RefinementTrace(
         graph.base_pair,

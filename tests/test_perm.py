@@ -290,6 +290,28 @@ class TestStabilizerChain:
         assert group.order() == 1
         assert len(group.generators) == 1
 
+    def test_generators_read_as_given(self):
+        gens = [parse_cycles("(1,2,3)", 5), parse_cycles("(4,5)", 5), parse_cycles("(1,2,3)", 5)]
+        group = PermGroup(5, gens)
+        assert group.generators == tuple(gens)
+        stab = group.point_stabilizer(4)
+        assert stab.generators == stab.generators == (gens[0],)
+
+    def test_stabilizer_holds_each_generator_once(self):
+        # a cached stabilizer keeps its 200 generators as padded tables
+        # only, about 0.32 MB; a Permutation of each as well doubles that
+        group = PermGroup.symmetric(200)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            group.point_stabilizer(1)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < 0.40 * 2**20
+
 
 @contextmanager
 def counted_chain_builds():
@@ -593,6 +615,17 @@ class TestOrderedPartition:
     def test_degree_below_one(self, degree):
         with pytest.raises(ValueError, match="degree must be at least 1"):
             OrderedPartition(degree, [])
+
+    @pytest.mark.parametrize(
+        "cells",
+        [[[1.0], [2, 3]], [[True], [2, 3]], [["1"], [2, 3]], [[1, "3"], [2]]],
+        ids=["float", "bool", "str", "mixed"],
+    )
+    def test_points_must_be_ints(self, cells):
+        # a refiner indexes its tables by point, so a point must be an int
+        # and not merely compare equal to one
+        with pytest.raises(ValueError, match="not an integer"):
+            OrderedPartition(3, cells)
 
 
 class TestPartitionStabilizerGenerators:

@@ -270,17 +270,37 @@ def read_bound(graph):
     return 2 * len(graph.arcs) * graph.degree.bit_length()
 
 
+# round 1 pops every input cell, so every out-list is read at least once
+# and a count below the number of arcs means reads went uncounted
+
+
 @pytest.mark.parametrize("family", [cyclic_group, dihedral_group])
 @pytest.mark.parametrize("n", [100, 400, 1000])
 def test_adjacency_reads_are_m_log_n_on_long_cycles(family, n):
     graph = build_orbital_graph(family(n), 1, 2)
     partition = OrderedPartition(n, [[1], range(2, n + 1)])
-    assert adjacency_reads(partition, graph) <= read_bound(graph)
+    assert len(graph.arcs) <= adjacency_reads(partition, graph) <= read_bound(graph)
 
 
 def test_adjacency_reads_are_m_log_n_on_reference_groups(corpus_sample):
     for partition, graph in reference_cases(random.Random(20261019), corpus_sample):
-        assert adjacency_reads(partition, graph) <= read_bound(graph)
+        assert len(graph.arcs) <= adjacency_reads(partition, graph) <= read_bound(graph)
+
+
+@pytest.mark.parametrize("n", [100, 400, 1000])
+def test_self_paired_graph_is_read_in_one_pass(n):
+    # the n-gon's in-lists equal its out-lists, so a popped splitter reads
+    # its out-lists alone. The same in-lists held as lists compare unequal
+    # to the out-lists' tuples, so the same pops read both: twice as much
+    graph = build_orbital_graph(dihedral_group(n), 1, 2)
+    assert graph.in_adj == graph.out_adj
+    partition = OrderedPartition(n, [[1], range(2, n + 1)])
+    reads = adjacency_reads(partition, graph)
+    both = adjacency_reads(
+        partition, dataclasses.replace(graph, in_adj=tuple(map(list, graph.in_adj)))
+    )
+    assert len(graph.arcs) <= reads
+    assert 2 * reads == both <= read_bound(graph)
 
 
 def relabelled(sigma, partition, graph):
@@ -308,3 +328,42 @@ def test_relabelling_commutes_with_refinement(corpus_sample):
             tuple(sorted(sigma[p] for p in cell)) for cell in trace.output_partition.cells
         )
         assert moved.rounds == trace.rounds
+
+
+def random_digraph_cases(rng):
+    """(partition, graph) on seeded digraphs that no group need preserve:
+    in- and out-lists that overlap but differ, symmetric arc sets with
+    equal lists, as separate and as shared tuples, and partitions that
+    are mostly one-point cells."""
+    yield OrderedPartition.unit(3), graph_of(3, [(1, 2), (2, 1), (1, 3)])
+    for case in range(1500):
+        n = rng.randint(2, 14)
+        arcs = {(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 4 * n))}
+        kind = case % 4
+        if kind == 1:
+            # some arcs gain their reverse, so in- and out-lists overlap
+            # but differ
+            arcs |= {(y, x) for x, y in arcs if rng.random() < 0.5}
+        elif kind >= 2:
+            arcs |= {(y, x) for x, y in arcs}
+        graph = graph_of(n, arcs)
+        if kind == 3:
+            graph = dataclasses.replace(graph, in_adj=graph.out_adj)
+        if case % 3:
+            yield random_partition(rng, n), graph
+        else:
+            points = rng.sample(range(1, n + 1), n)
+            k = rng.randint(n // 2, n - 1)
+            cells = [[p] for p in points[:k]] + [points[k:]]
+            rng.shuffle(cells)
+            yield OrderedPartition(n, cells), graph
+
+
+def test_arbitrary_digraphs_match_dense_reference():
+    for partition, graph in random_digraph_cases(random.Random(20261021)):
+        before = OrderedPartition(partition.degree, partition.cells)
+        trace = refine_by_graph(partition, graph)
+        reference = dense_refine(partition, graph)
+        assert set(trace.output_partition.cells) == set(reference.output_partition.cells)
+        assert trace.split_count == reference.split_count
+        assert partition == before
