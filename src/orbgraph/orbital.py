@@ -39,6 +39,8 @@ class OrbitalGraph:
 
 def check_base_pair(degree: int, alpha: int, beta: int) -> None:
     for p in (alpha, beta):
+        if type(p) is not int:
+            raise ValueError(f"point {p!r} is not an integer")
         if not 1 <= p <= degree:
             raise ValueError(f"point {p} out of range 1..{degree}")
     if alpha == beta:
@@ -84,27 +86,31 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
     being the row at x mapped by s, and graph (r, b)'s out-list at x is
     its slice of the row at x, sorted. Every out-list is an ascending
     tuple. A one-point list is the call's one tuple (p,) for its point,
-    shared by all graphs the call builds; a two-point slice is ordered by
-    one comparison, and only wider slices are sorted. The rows are as
-    large as r's graphs and are dropped once those are read. The reverse
-    of (alpha, beta) is the graph whose slice of the row at beta holds
-    alpha, with tail the least point of beta's orbit; its out_adj is
-    (alpha, beta)'s in_adj, the same tuple, so a self-paired graph has
-    in_adj is out_adj.
+    shared by all graphs the call builds, and one itemgetter call per
+    graph gathers those for r's whole orbit; a two-point slice is ordered
+    by one comparison, and only wider slices are sorted. When r's orbit
+    is smaller than n, one itemgetter per tail spreads each graph's lists
+    onto 1..n, a point off the orbit reading (). The rows are as large
+    as r's graphs; they are read in place, never copied, and dropped
+    once those are read. The reverse of (alpha, beta) is the graph whose
+    slice of the row at beta holds alpha, with tail the least point of
+    beta's orbit; its out_adj is (alpha, beta)'s in_adj, the same tuple,
+    so a self-paired graph has in_adj is out_adj.
 
     build_orbital_graph serves a single pair: it needs no stabilizer,
     where a stabilizer costs Theta(n^2) on a group like C_n.
     """
     n = group.degree
+    orbit_of = group._orbit_of
     pairs = list(pairs)
     by_tail: dict[int, list[int]] = {}  # tail -> indices of its pairs
     by_head: dict[int, list[int]] = {}  # least point of the head's orbit -> indices
     for i, (alpha, beta) in enumerate(pairs):
         check_base_pair(n, alpha, beta)
-        if group.orbit(alpha)[0] != alpha:
+        if orbit_of[alpha][0] != alpha:
             raise ValueError(f"tail {alpha} is not the least point of its orbit")
         by_tail.setdefault(alpha, []).append(i)
-        by_head.setdefault(group.orbit(beta)[0], []).append(i)
+        by_head.setdefault(orbit_of[beta][0], []).append(i)
     not_closed = "pair set is not closed under pairing"
     if not by_head.keys() <= by_tail.keys():
         raise ValueError(not_closed)
@@ -132,22 +138,26 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
                 if y not in rows:
                     rows[y] = get(t)
                     walk.append(rows[y])
-        orbit = group.orbit(r)
+        orbit = orbit_of[r]
         ordered = list(map(rows.__getitem__, orbit))
+        # a point off r's orbit is no tail: it reads the () after the lists
+        if len(orbit) < n:
+            at = dict(zip(orbit, range(len(orbit))))
+            spread = itemgetter(*map(at.get, range(1, n + 1), repeat(len(orbit), n)))
         for i, lo, hi in zip(idx, starts, starts[1:] + [len(cat)]):
             if hi - lo == 1:
                 if singles is None:
                     singles = tuple(zip(range(n + 1)))  # (p,) at index p
-                lists = map(singles.__getitem__, map(itemgetter(lo), ordered))
+                if len(orbit) == 1:  # one index would make itemgetter return a scalar
+                    lists = (singles[ordered[0][lo]],)
+                else:
+                    lists = itemgetter(*map(itemgetter(lo), ordered))(singles)
             elif hi - lo == 2:
                 column = zip(map(itemgetter(lo), ordered), map(itemgetter(lo + 1), ordered))
-                lists = [(a, b) if a < b else (b, a) for a, b in column]
+                lists = tuple([(a, b) if a < b else (b, a) for a, b in column])
             else:
-                lists = map(tuple, map(sorted, map(itemgetter(slice(lo, hi)), ordered)))
-            if len(orbit) == n:
-                out[i] = tuple(lists)
-            else:  # a point off r's orbit is no tail
-                out[i] = tuple(map(dict(zip(orbit, lists)).get, range(1, n + 1), repeat((), n)))
+                lists = tuple(map(tuple, map(sorted, map(itemgetter(slice(lo, hi)), ordered))))
+            out[i] = lists if len(orbit) == n else spread(lists + ((),))
         for i in by_head.get(r, ()):
             alpha, beta = pairs[i]
             try:
@@ -221,17 +231,26 @@ def enumerate_base_pairs(group: PermGroup) -> list[tuple[int, int]]:
     each orbit of alpha's stabilizer on the remaining points, emit (alpha,
     minimal beta of that orbit). The arc set determines alpha (tails fill
     alpha's orbit) and beta (alpha's out-neighbourhood is beta's stabilizer
-    orbit), so the emitted pairs produce pairwise distinct graphs.
+    orbit), so the emitted pairs produce pairwise distinct graphs. The
+    pairs are those of _sized_base_pairs, which also yields each pair's
+    orbit sizes for the fast futility test.
     """
-    pairs = []
+    return [pair for pair, _ in _sized_base_pairs(group)]
+
+
+def _sized_base_pairs(group: PermGroup):
+    """Yield each pair of enumerate_base_pairs, in its order, with the
+    sizes _pair_orbit_sizes would return for it, read off the cells the
+    enumeration walks: alpha's orbit, beta's stabilizer orbit, and beta's
+    orbit, which is the same tuple as alpha's when they share it."""
+    orbit_of = group._orbit_of
     for cell in group.orbit_partition().cells:
         alpha = cell[0]
-        stab = group.point_stabilizer(alpha)
-        for scell in stab.orbit_partition().cells:
-            if alpha in scell:
-                continue
-            pairs.append((alpha, scell[0]))
-    return pairs
+        # alpha's stabilizer fixes it, so alpha's own cell is (alpha,)
+        for scell in group.point_stabilizer(alpha).orbit_partition().cells:
+            if scell[0] != alpha:
+                orb_b = orbit_of[scell[0]]
+                yield (alpha, scell[0]), (len(cell), len(scell), len(orb_b), orb_b is cell)
 
 
 def to_dot(graph: OrbitalGraph) -> str:

@@ -163,13 +163,16 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 class OrderedPartition:
     """An ordered sequence of disjoint, sorted cells covering {1..degree}.
 
-    Cell order is preserved as given; each cell is sorted ascending. Every
-    point must be an int: a bool, float or str raises ValueError.
+    Cell order is preserved as given; each cell is sorted ascending. The
+    degree and every point must be an int: a bool, float or str raises
+    ValueError.
     """
 
     __slots__ = ("degree", "cells")
 
     def __init__(self, degree: int, cells):
+        if type(degree) is not int:
+            raise ValueError(f"degree {degree!r} is not an integer")
         if degree < 1:
             raise ValueError("degree must be at least 1")
         cells = tuple(map(tuple, cells))
@@ -383,7 +386,8 @@ class PermGroup:
     builders all compose those tables. Permutations appear only at the
     edge: each read of `generators` makes them afresh from the tables, so
     it returns permutations equal to the ones given, in the same order,
-    not the caller's own objects.
+    not the caller's own objects. The degree must be an int and every
+    generator a Permutation of that degree, else ValueError.
 
     The orbits are found when the group is built. Two things are computed
     on first use and then cached: one stabilizer subgroup per point, and
@@ -397,10 +401,14 @@ class PermGroup:
     """
 
     def __init__(self, degree: int, generators=()):
+        if type(degree) is not int:
+            raise ValueError(f"degree {degree!r} is not an integer")
         if degree < 1:
             raise ValueError("degree must be at least 1")
         gens = tuple(generators)
         for g in gens:
+            if type(g) is not Permutation:
+                raise ValueError(f"generator {g!r} is not a Permutation")
             if g.degree != degree:
                 raise ValueError(
                     f"generator degree {g.degree} does not match group degree {degree}"

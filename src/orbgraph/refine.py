@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .futility import is_futile_fast
-from .orbital import OrbitalGraph, build_orbital_graphs, enumerate_base_pairs
+from .futility import _fast
+from .orbital import OrbitalGraph, _sized_base_pairs, build_orbital_graphs
 from .perm import OrderedPartition, PermGroup
 
 
@@ -168,13 +168,18 @@ def select_useful_graphs(group: PermGroup):
     build only the survivors. Returns (pair, graph) tuples in enumeration
     order.
 
+    The enumeration hands each pair the orbit sizes the fast test reads,
+    taken from the cells it walks, so no pair's sizes are looked up again;
+    is_futile_fast looks them up for a single pair and gives the same
+    verdict.
+
     The survivors are closed under pairing, since a graph is futile
     exactly when its reverse is, so build_orbital_graphs builds them all
-    from the stabilizer orbits the enumeration and the fast test have
-    cached: one walk per orbit representative, with each graph's in_adj
-    the same tuple as its reverse's out_adj.
+    from the stabilizer orbits the enumeration has cached: one walk per
+    orbit representative, with each graph's in_adj the same tuple as its
+    reverse's out_adj.
     """
-    pairs = [p for p in enumerate_base_pairs(group) if not is_futile_fast(group, *p)]
+    pairs = [pair for pair, sizes in _sized_base_pairs(group) if not _fast(sizes)]
     return list(zip(pairs, build_orbital_graphs(group, pairs)))
 
 

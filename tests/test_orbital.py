@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from orbgraph.orbital import (
     _pair_orbit_sizes,
+    _sized_base_pairs,
     arc_count_formula,
     build_orbital_graph,
     build_orbital_graphs,
@@ -113,6 +114,15 @@ class TestBuild:
         with pytest.raises(ValueError, match="out of range"):
             build_orbital_graph(two_swaps, 1, 8)
 
+    @pytest.mark.parametrize("point", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_points_must_be_ints(self, two_swaps, point):
+        # True == 1 and 1.0 == 1, but neither may stand for point 1
+        for pair in ((point, 3), (3, point)):
+            with pytest.raises(ValueError, match="not an integer"):
+                build_orbital_graph(two_swaps, *pair)
+            with pytest.raises(ValueError, match="not an integer"):
+                build_orbital_graphs(two_swaps, [pair])
+
     @given(groups_st(max_degree=6))
     @settings(max_examples=30, deadline=None)
     def test_arcs_match_brute_force(self, group):
@@ -128,13 +138,16 @@ def paired_graph(graphs, graph):
 
 
 def assert_matches_closure(group, graphs):
-    """Each graph equals build_orbital_graph on its base pair and shares
-    its in_adj with the paired graph's out_adj."""
+    """Each graph equals build_orbital_graph on its base pair, holds its
+    out-lists as strictly ascending tuples, and shares its in_adj with the
+    paired graph's out_adj."""
     for g in graphs:
         reference = build_orbital_graph(group, *g.base_pair)
         assert g.out_adj == reference.out_adj
         assert g.in_adj == reference.in_adj
         assert g.in_adj is paired_graph(graphs, g).out_adj
+        for heads in g.out_adj:
+            assert type(heads) is tuple and all(a < b for a, b in zip(heads, heads[1:]))
 
 
 def assert_builders_agree(group):
@@ -144,8 +157,6 @@ def assert_builders_agree(group):
     graphs = build_orbital_graphs(group, pairs)
     assert [g.base_pair for g in graphs] == pairs
     assert_matches_closure(group, graphs)
-    for heads in (heads for g in graphs for heads in g.out_adj):
-        assert type(heads) is tuple and all(a < b for a, b in zip(heads, heads[1:]))
     useful = select_useful_graphs(group)
     assert [pair for pair, _ in useful] == [p for p in pairs if not is_futile_fast(group, *p)]
     assert all(g.base_pair == pair for pair, g in useful)
@@ -222,6 +233,42 @@ class TestBuildMany:
                 assert is_self_paired(g)
         assert self_paired == (1 if build is cyclic_group else len(graphs))
 
+    @pytest.mark.parametrize(
+        "group",
+        [group_from(7, "(2,3,4)", "(5,6)"), PermGroup(2), group_from(3, "(2,3)")],
+        ids=["C3xC2_on_7", "trivial_on_2", "C2_on_3"],
+    )
+    def test_small_tail_orbits(self, group):
+        # each has a tail fixed by the group, whose orbit is a single row
+        assert_builders_agree(group)
+
+    def test_slice_shapes_on_small_tail_orbits(self):
+        # the fixed tails 1 and 7 slice their one row into 3, 2 and 1
+        # points, and tail 2's orbit (2,3,4) leaves points with no out-list
+        group = group_from(7, "(2,3,4)", "(5,6)")
+        graphs = build_orbital_graphs(group, enumerate_base_pairs(group))
+        widths = {r: [len(g.out_adj[r - 1]) for g in graphs if g.base_pair[0] == r] for r in (1, 7)}
+        assert widths == {1: [3, 2, 1], 7: [1, 3, 2]}
+        (tail_2,) = [g for g in graphs if g.base_pair == (2, 1)]
+        assert tail_2.out_adj == ((), (1,), (1,), (1,), (), (), ())
+
+    @pytest.mark.parametrize("build, bound", [(cyclic_group, 2.3), (dihedral_group, 1.4)])
+    def test_batch_build_holds_no_copy_of_the_rows(self, build, bound):
+        # the peak of an all-pairs build over what its graphs hold: a tail's
+        # rows are about as large as its graphs and are read in place, so a
+        # transposed copy of them shows here (C_400 2.88, D_400 1.52)
+        group = build(400)
+        pairs = enumerate_base_pairs(group)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graphs = build_orbital_graphs(group, pairs)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(graphs) == len(pairs)
+        assert (peak - before) / (held - before) <= bound
+
     def test_pair_set_not_closed_under_pairing(self, two_swaps):
         # in C_5 the reverse of (1, 2) is the orbital of (1, 5)
         c5 = cyclic_group(5)
@@ -249,6 +296,46 @@ class TestBuildMany:
             build_orbital_graphs(two_swaps, [(1, 1)])
         with pytest.raises(ValueError, match="out of range"):
             build_orbital_graphs(two_swaps, [(1, 8)])
+
+
+def assert_sizes_are_independent(group):
+    sized = list(_sized_base_pairs(group))
+    assert [pair for pair, _ in sized] == enumerate_base_pairs(group)
+    for (alpha, beta), sizes in sized:
+        assert sizes == _pair_orbit_sizes(group, alpha, beta)
+
+
+class TestSizedBasePairs:
+    """The enumeration's sizes, read off the cells it walks, equal the ones
+    _pair_orbit_sizes looks up for each pair on its own."""
+
+    @pytest.mark.parametrize("index", range(len(FORMULA_GROUPS)))
+    def test_formula_groups(self, index):
+        assert_sizes_are_independent(FORMULA_GROUPS[index])
+
+    def test_block_preserving_groups(self):
+        rng = random.Random(20261020)
+        for _ in range(30):
+            degree = rng.randint(6, 40)
+            group = block_preserving_group(rng, degree, rng.randint(1, 3), rng.randint(2, 8))
+            assert_sizes_are_independent(group)
+
+    @given(groups_st())
+    @settings(max_examples=60, deadline=None)
+    def test_random_groups(self, group):
+        assert_sizes_are_independent(group)
+
+    @pytest.mark.parametrize("index", range(len(FORMULA_GROUPS)))
+    def test_selection_looks_up_no_pair(self, monkeypatch, index):
+        group = FORMULA_GROUPS[index]
+        expected = [p for p in enumerate_base_pairs(group) if not is_futile_fast(group, *p)]
+
+        def no_lookup(*args):
+            raise AssertionError("per-pair orbit size lookup")
+
+        monkeypatch.setattr("orbgraph.orbital._pair_orbit_sizes", no_lookup)
+        monkeypatch.setattr("orbgraph.futility._pair_orbit_sizes", no_lookup)
+        assert [pair for pair, _ in select_useful_graphs(group)] == expected
 
 
 class TestArcCount:

@@ -190,6 +190,17 @@ class TestOrbits:
     def test_orbit_partition_of_transitive_group(self):
         assert PermGroup.symmetric(5).orbit_partition().cells == ((1, 2, 3, 4, 5),)
 
+    @pytest.mark.parametrize("degree", [True, 3.0, "3"], ids=["bool", "float", "str"])
+    def test_group_degree_must_be_an_int(self, degree):
+        # PermGroup(True) would otherwise build a group of degree True
+        with pytest.raises(ValueError, match="not an integer"):
+            PermGroup(degree)
+
+    @pytest.mark.parametrize("gen", [(2, 3, 1), [2, 3, 1], "(1,2,3)"])
+    def test_generators_must_be_permutations(self, gen):
+        with pytest.raises(ValueError, match="not a Permutation"):
+            PermGroup(3, [gen])
+
     @given(groups_st(max_degree=6))
     @settings(max_examples=40, deadline=None)
     def test_orbits_match_brute_force(self, group):
@@ -615,6 +626,11 @@ class TestOrderedPartition:
     def test_degree_below_one(self, degree):
         with pytest.raises(ValueError, match="degree must be at least 1"):
             OrderedPartition(degree, [])
+
+    @pytest.mark.parametrize("degree", [True, 3.0, "3"], ids=["bool", "float", "str"])
+    def test_degree_must_be_an_int(self, degree):
+        with pytest.raises(ValueError, match="not an integer"):
+            OrderedPartition(degree, [[1]])
 
     @pytest.mark.parametrize(
         "cells",
