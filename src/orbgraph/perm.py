@@ -42,6 +42,8 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
+        if type(degree) is not int:
+            raise ValueError(f"degree {degree!r} is not an integer")
         if degree < 1:
             raise ValueError("degree must be at least 1")
         return cls._unchecked(tuple(range(1, degree + 1)))
@@ -470,6 +472,8 @@ class PermGroup:
 
     def orbit(self, point: int) -> tuple[int, ...]:
         """Sorted orbit of a point: its cell of the orbit partition."""
+        if type(point) is not int:
+            raise ValueError(f"point {point!r} is not an integer")
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")
         return self._orbit_of[point]
@@ -498,6 +502,8 @@ class PermGroup:
         over it returns a tuple, at degree 1 too. The kept tables become the
         stabilizer's own, and no Permutation is made; a trivial stabilizer
         is generated by the identity, as a group given no generators is."""
+        if type(point) is not int:
+            raise ValueError(f"point {point!r} is not an integer")
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")
         cached = self._stabilizers.get(point)

@@ -38,15 +38,20 @@ def refine_by_graph(partition: OrderedPartition, graph: OrbitalGraph) -> Refinem
     out-lists adding n + 2 per arc counts it. The vertices counted are
     listed at their first count, and their entries go back to 0 once read.
     A point of a one-point cell, which cannot split, keeps an entry that
-    never returns to 0, so it is never listed. One dict keyed by (cell
-    start, count) and one sort then give the touched cells in cell order,
-    each with its fragments in ascending pair order, an uncounted vertex
-    having (0, 0). The fragments replace the parent in place. If the
-    parent was waiting in the queue, every fragment waits there with it;
-    otherwise every fragment but the first largest is queued for the next
-    round. Each splitter a vertex is popped in is at most half the one
-    before, so a vertex is in at most 1 + log2(n) popped splitters and
-    refinement reads O(m log n) adjacency entries.
+    never returns to 0, so it is never listed. A pop that counted no vertex
+    ends there. Most pops count one vertex w, which then lies in a cell of
+    two or more points; w is split off directly, the rest of its cell
+    keeping its start, and only {w}, after the rest, is queued. Any other
+    pop groups its vertices with one dict keyed by (cell start, count) and
+    one sort, which give the touched cells in cell order, each with its
+    fragments in ascending pair order, an uncounted vertex having (0, 0).
+    The fragments replace the parent in place. If the parent was waiting in
+    the queue, every fragment waits there with it; otherwise every fragment
+    but the first largest is queued for the next round. A one-vertex split
+    is that rule with the rest as the first largest fragment. Each splitter
+    a vertex is popped in is at most half the one before, so a vertex is in
+    at most 1 + log2(n) popped splitters and refinement reads O(m log n)
+    adjacency entries.
 
     A cell keeps the form it was made in, the caller's sorted tuple or the
     list of a fragment, until it first splits; it then becomes a set, at
@@ -105,6 +110,29 @@ def refine_by_graph(partition: OrderedPartition, graph: OrbitalGraph) -> Refinem
                         if not c:
                             hit.append(w)
                         count[w] = c + weight
+            if not hit:
+                continue
+            if len(hit) == 1:
+                # one counted vertex w, in a cell of two or more points:
+                # the rest keeps its start and is the first largest
+                # fragment, and only {w}, placed after it, is queued
+                w = hit[0]
+                count[w] = 1
+                t = start_of[w]
+                cell = cells[t]
+                if type(cell) is not set:
+                    cell = cells[t] = set(cell)
+                cell.remove(w)
+                if len(cell) == 1:
+                    count[next(iter(cell))] = 1
+                start = start_of[w] = t + len(cell)
+                cells[start] = [w]
+                generation = waiting[t]
+                if generation is None:
+                    generation = later
+                waiting[start] = generation
+                generation.append(start)
+                continue
             groups: dict[int, list[int]] = {}
             for w in hit:
                 groups.setdefault(start_of[w] * span + count[w], []).append(w)

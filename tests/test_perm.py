@@ -122,6 +122,12 @@ class TestPermutationArithmetic:
         product = Permutation.identity(1) * Permutation([1])
         assert product.images == (1,) and product.degree == 1
 
+    @pytest.mark.parametrize("degree", [True, 3.0, "3"], ids=["bool", "float", "str"])
+    def test_identity_degree_must_be_an_int(self, degree):
+        # Permutation.identity(True) would otherwise build Permutation([1])
+        with pytest.raises(ValueError, match="not an integer"):
+            Permutation.identity(degree)
+
     def test_compose_degree_mismatch(self):
         with pytest.raises(ValueError):
             parse_cycles("(1,2)", 2) * parse_cycles("(1,2)", 3)
@@ -174,13 +180,15 @@ class TestOrbits:
         with pytest.raises(ValueError):
             two_swaps.orbit(8)
 
-    @pytest.mark.parametrize("point", [0, -1, 8])
+    @pytest.mark.parametrize("point", [0, -1, 8, True, 1.0, "1"])
     def test_points_off_the_domain_raise(self, two_swaps, point):
         # the group's tables are indexed by point and have a slot 0, so
-        # only the range check stops 0 and negative points
-        with pytest.raises(ValueError, match="out of range"):
+        # only the range check stops 0 and negative points; True would
+        # otherwise stand for 1, and be cached as a stabilizer's key
+        message = "out of range" if type(point) is int else "not an integer"
+        with pytest.raises(ValueError, match=message):
             two_swaps.orbit(point)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=message):
             two_swaps.point_stabilizer(point)
 
     def test_orbit_partition_examples(self, two_swaps, two_triangles):

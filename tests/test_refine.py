@@ -210,6 +210,18 @@ def test_signature_order_puts_earlier_cells_last():
     assert trace.split_count == 1
 
 
+def ring_cells(n):
+    """The cells, in order, that refining the n-gon with 1 individualised
+    ends with: 1 alone, then the points at distance 2 from 1, then those
+    at each distance from n//2 down to 3, then those at distance 1.
+    Splitter (1,) splits off distance 1 as the last cell; the rest, split
+    by itself, puts distance 2 before the middle. Each later split of the
+    middle keeps what is left of it first and puts the distance it peels
+    off after it, so the farthest distance ends up first."""
+    middle = [tuple(sorted({k, n + 2 - k})) for k in range((n + 2) // 2, 3, -1)]
+    return [(1,), (3, n - 1), *middle, (2, n)]
+
+
 @pytest.mark.parametrize("n", [7, 8, 100, 101, 400])
 def test_cycle_refines_to_discrete(n):
     # with 1 individualised, round 1 splits off 2 and n by splitter (1,),
@@ -219,7 +231,11 @@ def test_cycle_refines_to_discrete(n):
     # it splits nothing, so there are (n-1)//2 rounds
     graph = build_orbital_graph(cyclic_group(n), 1, 2)
     trace = refine_by_graph(OrderedPartition(n, [[1], range(2, n + 1)]), graph)
-    assert sorted(trace.output_partition.cells) == [(p,) for p in range(1, n + 1)]
+    # each cell of the n-gon splits lower point first, except distance 2:
+    # splitting the rest by itself gives n-1 the pair (0, 1), arcs from the
+    # rest only, and 3 the pair (1, 0), so n-1 comes first
+    order = [1, n - 1, 3] + [p for cell in ring_cells(n)[2:] for p in cell]
+    assert trace.output_partition.cells == tuple((p,) for p in order)
     assert trace.rounds == (n - 1) // 2
     assert trace.split_count == n - 2
 
@@ -233,8 +249,7 @@ def test_dihedral_refines_to_stabilizer_orbits(n):
     # and the round after it splits nothing, so there are n//2 - 1 rounds
     graph = build_orbital_graph(dihedral_group(n), 1, 2)
     trace = refine_by_graph(OrderedPartition(n, [[1], range(2, n + 1)]), graph)
-    mirror = [tuple(sorted({1 + k, (n - k) % n + 1})) for k in range(1, n // 2 + 1)]
-    assert sorted(trace.output_partition.cells) == sorted([(1,)] + mirror)
+    assert trace.output_partition.cells == tuple(ring_cells(n))
     assert trace.rounds == n // 2 - 1
 
 
