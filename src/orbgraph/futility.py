@@ -69,7 +69,7 @@ def _witness(graph: OrbitalGraph, group: PermGroup):
             if moved:
                 images = list(range(1, graph.degree + 1))
                 images[a - 1], images[b - 1] = b, a
-                return Permutation(images), min(moved)
+                return Permutation._unchecked(tuple(images)), min(moved)
     return None
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
-from .perm import OrderedPartition, PermGroup
+from .perm import OrderedPartition, PermGroup, _check_point
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,15 +34,15 @@ class OrbitalGraph:
         return tuple((x, y) for x, heads in enumerate(self.out_adj, 1) for y in heads)
 
     def has_arc(self, x: int, y: int) -> bool:
-        return 1 <= x <= self.degree and y in self.out_adj[x - 1]
+        """Whether (x, y) is an arc. Anything that is not an int of
+        1..degree, a bool, float or str among them, is no point, so a pair
+        holding one is no arc."""
+        return type(x) is type(y) is int and 1 <= x <= self.degree and y in self.out_adj[x - 1]
 
 
 def check_base_pair(degree: int, alpha: int, beta: int) -> None:
-    for p in (alpha, beta):
-        if type(p) is not int:
-            raise ValueError(f"point {p!r} is not an integer")
-        if not 1 <= p <= degree:
-            raise ValueError(f"point {p} out of range 1..{degree}")
+    _check_point(alpha, degree)
+    _check_point(beta, degree)
     if alpha == beta:
         raise ValueError("base pair points must be distinct")
 
@@ -125,7 +125,7 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
         starts = []
         for i in idx:
             starts.append(len(cat))
-            cat.extend(stab.orbit(pairs[i][1]))
+            cat.extend(stab._orbit_of[pairs[i][1]])
         if len(set(cat)) < len(cat):
             raise ValueError(f"two pairs with tail {r} name one orbital")
         rows = {r: tuple(cat)}
@@ -177,9 +177,9 @@ def _pair_orbit_sizes(
     |beta^(G_alpha)| read off the pair's graph; otherwise it comes from
     alpha's stabilizer."""
     check_base_pair(group.degree, alpha, beta)
-    orb_a, orb_b = group.orbit(alpha), group.orbit(beta)
+    orb_a, orb_b = group._orbit_of[alpha], group._orbit_of[beta]
     if k is None:
-        k = len(group.point_stabilizer(alpha).orbit(beta))
+        k = len(group.point_stabilizer(alpha)._orbit_of[beta])
     # a group hands out one tuple per orbit, so equal orbits are one object
     return len(orb_a), k, len(orb_b), orb_b is orb_a
 
@@ -220,8 +220,9 @@ def weak_components(graph: OrbitalGraph) -> OrderedPartition:
                 if not seen[w - 1]:
                     seen[w - 1] = True
                     comp.append(w)
-        (big if len(comp) > 1 else single).append(sorted(comp))
-    return OrderedPartition(n, big + single)
+        (big if len(comp) > 1 else single).append(tuple(sorted(comp)))
+    # the components are sorted and cover 1..n once
+    return OrderedPartition._unchecked(n, tuple(big + single))
 
 
 def enumerate_base_pairs(group: PermGroup) -> list[tuple[int, int]]:

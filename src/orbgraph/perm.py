@@ -15,6 +15,24 @@ import threading
 from operator import itemgetter
 
 
+def _check_degree(degree) -> None:
+    """Raise ValueError unless degree is an int of at least 1; a bool, a
+    float or a str is no degree, even one that compares equal to an int."""
+    if type(degree) is not int:
+        raise ValueError(f"degree {degree!r} is not an integer")
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+
+
+def _check_point(point, degree: int) -> None:
+    """Raise ValueError unless point is an int in 1..degree; tables are
+    indexed by point, so True or 1.0 may not stand for point 1."""
+    if type(point) is not int:
+        raise ValueError(f"point {point!r} is not an integer")
+    if not 1 <= point <= degree:
+        raise ValueError(f"point {point} out of range 1..{degree}")
+
+
 class Permutation:
     """A bijection of {1..degree} stored as an image table."""
 
@@ -42,16 +60,13 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        if type(degree) is not int:
-            raise ValueError(f"degree {degree!r} is not an integer")
-        if degree < 1:
-            raise ValueError("degree must be at least 1")
+        _check_degree(degree)
         return cls._unchecked(tuple(range(1, degree + 1)))
 
     def apply(self, point: int) -> int:
-        """Image of a point."""
-        if not 1 <= point <= self.degree:
-            raise ValueError(f"point {point} out of range 1..{self.degree}")
+        """Image of a point. A point that is not an int of 1..degree, a bool,
+        float or str among them, raises ValueError."""
+        _check_point(point, self.degree)
         return self.images[point - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
@@ -121,10 +136,9 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     accepted only for degree at most 9 and raises ValueError above, where
     "(12)" could also mean point 12. Points are written in ASCII digits
     0-9 only. Whitespace is ignored and points absent from the text are
-    fixed.
+    fixed. A degree that is not an int of at least 1 raises ValueError.
     """
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
+    _check_degree(degree)
     compact = "".join(text.split())
     if not compact:
         raise ValueError("empty permutation text")
@@ -159,7 +173,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         for a, b in zip(points, points[1:]):
             images[a - 1] = b
         images[points[-1] - 1] = points[0]
-    return Permutation(images)
+    # the cycles are disjoint and within 1..degree, so images is a bijection
+    return Permutation._unchecked(tuple(images))
 
 
 class OrderedPartition:
@@ -173,10 +188,7 @@ class OrderedPartition:
     __slots__ = ("degree", "cells")
 
     def __init__(self, degree: int, cells):
-        if type(degree) is not int:
-            raise ValueError(f"degree {degree!r} is not an integer")
-        if degree < 1:
-            raise ValueError("degree must be at least 1")
+        _check_degree(degree)
         cells = tuple(map(tuple, cells))
         try:
             norm = tuple(tuple(sorted(c)) for c in cells)
@@ -211,7 +223,10 @@ class OrderedPartition:
 
     @classmethod
     def unit(cls, degree: int) -> "OrderedPartition":
-        return cls(degree, [range(1, degree + 1)])
+        """The one-cell partition of 1..degree. A degree that is not an int
+        of at least 1 raises ValueError."""
+        _check_degree(degree)
+        return cls._unchecked(degree, (tuple(range(1, degree + 1)),))
 
     def __eq__(self, other) -> bool:
         return (
@@ -403,10 +418,7 @@ class PermGroup:
     """
 
     def __init__(self, degree: int, generators=()):
-        if type(degree) is not int:
-            raise ValueError(f"degree {degree!r} is not an integer")
-        if degree < 1:
-            raise ValueError("degree must be at least 1")
+        _check_degree(degree)
         gens = tuple(generators)
         for g in gens:
             if type(g) is not Permutation:
@@ -437,7 +449,8 @@ class PermGroup:
 
     @classmethod
     def symmetric(cls, degree: int) -> "PermGroup":
-        """Natural symmetric group on {1..degree}."""
+        """Natural symmetric group on {1..degree}. A degree that is not an
+        int of at least 1 raises ValueError."""
         if degree == 1:
             return cls(degree)
         swap = parse_cycles("(1,2)", degree)
@@ -459,7 +472,7 @@ class PermGroup:
     def order(self) -> int:
         """|1^G| times |G_1|, the product of the transversal sizes of the
         chain of the stabilizer of 1."""
-        n = len(self.orbit(1))
+        n = len(self._orbit_of[1])
         for lvl in self.point_stabilizer(1).chain:
             n *= len(lvl.transversal)
         return n
@@ -472,10 +485,7 @@ class PermGroup:
 
     def orbit(self, point: int) -> tuple[int, ...]:
         """Sorted orbit of a point: its cell of the orbit partition."""
-        if type(point) is not int:
-            raise ValueError(f"point {point!r} is not an integer")
-        if not 1 <= point <= self.degree:
-            raise ValueError(f"point {point} out of range 1..{self.degree}")
+        _check_point(point, self.degree)
         return self._orbit_of[point]
 
     def orbit_partition(self) -> OrderedPartition:
@@ -502,10 +512,7 @@ class PermGroup:
         over it returns a tuple, at degree 1 too. The kept tables become the
         stabilizer's own, and no Permutation is made; a trivial stabilizer
         is generated by the identity, as a group given no generators is."""
-        if type(point) is not int:
-            raise ValueError(f"point {point!r} is not an integer")
-        if not 1 <= point <= self.degree:
-            raise ValueError(f"point {point} out of range 1..{self.degree}")
+        _check_point(point, self.degree)
         cached = self._stabilizers.get(point)
         if cached is not None:
             return cached

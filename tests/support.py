@@ -5,6 +5,7 @@ The brute functions enumerate group elements outright, so they stay
 independent of the stabilizer-chain machinery they are used to check.
 """
 
+import re
 from collections import deque
 from math import factorial
 
@@ -19,6 +20,11 @@ from orbgraph.perm import (
     parse_cycles,
 )
 from orbgraph.refine import RefinementTrace
+
+
+def exactly(message: str) -> str:
+    """A pytest.raises match pattern that accepts message and nothing else."""
+    return f"^{re.escape(message)}\\Z"
 
 
 def group_from(degree, *cycles) -> PermGroup:

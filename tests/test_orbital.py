@@ -33,6 +33,7 @@ from support import (
     cyclic_group,
     dihedral_group,
     disjoint_symmetric_groups,
+    exactly,
     group_from,
     groups_st,
     pgl2,
@@ -84,6 +85,13 @@ class TestBuild:
         assert g.has_arc(7, 1)
         for x, y in [(0, 1), (-6, 1), (8, 1), (7, 0), (7, 8), (1, 7)]:
             assert not g.has_arc(x, y)
+        # True == 1.0 == 1, but neither is point 1; a str is no point either
+        for x, y in [(7, True), (7, 1.0), (7, "1")]:
+            assert not g.has_arc(x, y)
+        h = build_orbital_graph(two_swaps, 1, 2)
+        assert h.arcs == ((1, 2), (1, 3))
+        for x, y in [(True, 2), (1.0, 2), ("1", 2)]:
+            assert not h.has_arc(x, y)
 
     def test_graph_memory_is_linear_in_the_arcs(self):
         # S_200 on (1, 2) is the complete digraph, 39 800 arcs; each arc
@@ -117,10 +125,11 @@ class TestBuild:
     @pytest.mark.parametrize("point", [True, 1.0, "1"], ids=["bool", "float", "str"])
     def test_points_must_be_ints(self, two_swaps, point):
         # True == 1 and 1.0 == 1, but neither may stand for point 1
+        message = exactly(f"point {point!r} is not an integer")
         for pair in ((point, 3), (3, point)):
-            with pytest.raises(ValueError, match="not an integer"):
+            with pytest.raises(ValueError, match=message):
                 build_orbital_graph(two_swaps, *pair)
-            with pytest.raises(ValueError, match="not an integer"):
+            with pytest.raises(ValueError, match=message):
                 build_orbital_graphs(two_swaps, [pair])
 
     @given(groups_st(max_degree=6))

@@ -30,6 +30,7 @@ from support import (
     brute_transitivity_degree,
     cyclic_group,
     dihedral_group,
+    exactly,
     group_from,
     group_from_maps,
     groups_st,
@@ -107,6 +108,22 @@ class TestParseCycles:
         with pytest.raises(ValueError, match="malformed"):
             parse_cycles(text, degree)
 
+    @pytest.mark.parametrize(
+        "degree",
+        [True, 3.0, "3", 1.0, "1", 0, -1],
+        ids=["bool", "float", "str", "float 1", "str 1", "zero", "negative"],
+    )
+    def test_degree_must_be_an_int(self, degree):
+        # parse_cycles("()", True) would otherwise build the identity of
+        # degree 1, and a float or str degree would raise TypeError
+        message = (
+            "degree must be at least 1"
+            if type(degree) is int
+            else f"degree {degree!r} is not an integer"
+        )
+        with pytest.raises(ValueError, match=exactly(message)):
+            parse_cycles("()", degree)
+
 
 class TestPermutationArithmetic:
     def test_apply(self):
@@ -122,10 +139,12 @@ class TestPermutationArithmetic:
         product = Permutation.identity(1) * Permutation([1])
         assert product.images == (1,) and product.degree == 1
 
-    @pytest.mark.parametrize("degree", [True, 3.0, "3"], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize(
+        "degree", [True, 3.0, "3", 1.0, "1"], ids=["bool", "float", "str", "float 1", "str 1"]
+    )
     def test_identity_degree_must_be_an_int(self, degree):
         # Permutation.identity(True) would otherwise build Permutation([1])
-        with pytest.raises(ValueError, match="not an integer"):
+        with pytest.raises(ValueError, match=exactly(f"degree {degree!r} is not an integer")):
             Permutation.identity(degree)
 
     def test_compose_degree_mismatch(self):
@@ -148,11 +167,17 @@ class TestPermutationArithmetic:
             Permutation(images)
 
     def test_apply_out_of_range(self):
+        # True would otherwise stand for point 1, and 1.0 or "1" raise TypeError
         p = Permutation.identity(3)
-        with pytest.raises(ValueError):
-            p.apply(0)
-        with pytest.raises(ValueError):
-            p.apply(4)
+        for point, message in [
+            (0, "point 0 out of range 1..3"),
+            (4, "point 4 out of range 1..3"),
+            (True, "point True is not an integer"),
+            (1.0, "point 1.0 is not an integer"),
+            ("1", "point '1' is not an integer"),
+        ]:
+            with pytest.raises(ValueError, match=exactly(message)):
+                p.apply(point)
 
     @given(permutations_st())
     def test_cycle_string_round_trip(self, p):
@@ -185,10 +210,14 @@ class TestOrbits:
         # the group's tables are indexed by point and have a slot 0, so
         # only the range check stops 0 and negative points; True would
         # otherwise stand for 1, and be cached as a stabilizer's key
-        message = "out of range" if type(point) is int else "not an integer"
-        with pytest.raises(ValueError, match=message):
+        message = (
+            f"point {point} out of range 1..7"
+            if type(point) is int
+            else f"point {point!r} is not an integer"
+        )
+        with pytest.raises(ValueError, match=exactly(message)):
             two_swaps.orbit(point)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=exactly(message)):
             two_swaps.point_stabilizer(point)
 
     def test_orbit_partition_examples(self, two_swaps, two_triangles):
@@ -198,11 +227,17 @@ class TestOrbits:
     def test_orbit_partition_of_transitive_group(self):
         assert PermGroup.symmetric(5).orbit_partition().cells == ((1, 2, 3, 4, 5),)
 
-    @pytest.mark.parametrize("degree", [True, 3.0, "3"], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize(
+        "degree", [True, 3.0, "3", 1.0, "1"], ids=["bool", "float", "str", "float 1", "str 1"]
+    )
     def test_group_degree_must_be_an_int(self, degree):
-        # PermGroup(True) would otherwise build a group of degree True
-        with pytest.raises(ValueError, match="not an integer"):
+        # PermGroup(True) would otherwise build a group of degree True, and
+        # symmetric(3.0) would raise TypeError
+        message = exactly(f"degree {degree!r} is not an integer")
+        with pytest.raises(ValueError, match=message):
             PermGroup(degree)
+        with pytest.raises(ValueError, match=message):
+            PermGroup.symmetric(degree)
 
     @pytest.mark.parametrize("gen", [(2, 3, 1), [2, 3, 1], "(1,2,3)"])
     def test_generators_must_be_permutations(self, gen):
@@ -632,13 +667,21 @@ class TestOrderedPartition:
 
     @pytest.mark.parametrize("degree", [0, -3])
     def test_degree_below_one(self, degree):
-        with pytest.raises(ValueError, match="degree must be at least 1"):
+        with pytest.raises(ValueError, match=exactly("degree must be at least 1")):
             OrderedPartition(degree, [])
+        with pytest.raises(ValueError, match=exactly("degree must be at least 1")):
+            OrderedPartition.unit(degree)
 
-    @pytest.mark.parametrize("degree", [True, 3.0, "3"], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize(
+        "degree", [True, 3.0, "3", 1.0, "1"], ids=["bool", "float", "str", "float 1", "str 1"]
+    )
     def test_degree_must_be_an_int(self, degree):
-        with pytest.raises(ValueError, match="not an integer"):
+        # unit(3.0) would otherwise raise TypeError
+        message = exactly(f"degree {degree!r} is not an integer")
+        with pytest.raises(ValueError, match=message):
             OrderedPartition(degree, [[1]])
+        with pytest.raises(ValueError, match=message):
+            OrderedPartition.unit(degree)
 
     @pytest.mark.parametrize(
         "cells",
