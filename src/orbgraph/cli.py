@@ -105,7 +105,6 @@ def _cmd_futility(args) -> int:
         else:
             graphs = build_orbital_graphs(group, pairs)
 
-    all_records = []
     rows = []
     for (alpha, beta), graph in zip(pairs, graphs):
         records = verdict_records(group, alpha, beta, methods, graph)
@@ -117,11 +116,10 @@ def _cmd_futility(args) -> int:
                 file=sys.stderr,
             )
             return 3
-        all_records.extend(records)
         rows.append(((alpha, beta), records, graph))
 
     if args.json:
-        print(json.dumps(all_records))
+        print(json.dumps([r for _, records, _ in rows for r in records]))
         return 0
 
     print(

@@ -183,43 +183,43 @@ def verdict_records(group, alpha, beta, methods, graph=None) -> list[dict]:
     reuses a witness that test found; after a futile structural verdict,
     which needs no search, or without one, it searches on its own.
 
-    A given graph must be the pair's: of the group's degree, with the pair
-    as an arc. Otherwise ValueError, as for a bad pair or method. Its
-    out-degree at alpha is |beta^(G_alpha)|, so without the fast method no
-    stabilizer is built; the fast verdict always reads the stabilizer, so
-    that it stays independent of the graph.
+    Only the fast test decides from orbit arithmetic, so only it reads
+    alpha's stabilizer; the structural test and the oracle read the graph.
+    A set without the fast method builds the pair's graph by closure,
+    once, unless one is given, and reads |beta^(G_alpha)| off its
+    out-degree at alpha, so it builds no stabilizer. With the fast method
+    the stabilizer gives |beta^(G_alpha)|, so that the fast verdict stays
+    independent of the graph. A given graph must be the pair's: of the
+    group's degree, with the pair as an arc. Otherwise ValueError, as for
+    a bad pair or method.
     """
     if unknown := [m for m in methods if m not in METHODS]:
         raise ValueError(f"unknown method {unknown[0]!r}")
     check_base_pair(group.degree, alpha, beta)
-    k = None
     if graph is not None:
         if graph.degree != group.degree:
             raise ValueError("graph and group degrees differ")
         if not graph.has_arc(alpha, beta):
             raise ValueError(f"base pair ({alpha},{beta}) is not an arc of the graph")
-        if "fast" not in methods:
-            k = len(graph.out_adj[alpha - 1])
+    elif any(m != "fast" for m in methods):
+        graph = build_orbital_graph(group, alpha, beta)
+    k = None if graph is None or "fast" in methods else len(graph.out_adj[alpha - 1])
     sizes = _pair_orbit_sizes(group, alpha, beta, k)
     n, k, _, same_orbit = sizes
     bounds = _bounds(sizes)
+    arcs = None if graph is None else sum(map(len, graph.out_adj))
     records, found = [], None
     for method in methods:
         witness, shape = None, SHAPE_NONE
         if method == "fast":
             futile = _fast(sizes)
-            arc_count = n * k
+        elif method == "structural":
+            v = is_futile_structural(graph, group)
+            futile, shape, witness = v.futile, v.shape, v.witness
+            found = witness
         else:
-            if graph is None:
-                graph = build_orbital_graph(group, alpha, beta)
-            arc_count = sum(map(len, graph.out_adj))
-            if method == "structural":
-                v = is_futile_structural(graph, group)
-                futile, shape, witness = v.futile, v.shape, v.witness
-                found = witness
-            else:
-                witness = found or _witness(graph, group)
-                futile = witness is None
+            witness = found or _witness(graph, group)
+            futile = witness is None
         if futile and method != "structural":
             shape = SHAPE_COMPLETE if same_orbit else SHAPE_BIPARTITE
         records.append({
@@ -233,7 +233,7 @@ def verdict_records(group, alpha, beta, methods, graph=None) -> list[dict]:
                 "permutation_cycles": witness[0].cycle_string(),
                 "violated_arc": list(witness[1]),
             },
-            "arc_count": arc_count,
+            "arc_count": n * k if method == "fast" else arcs,
             "thresholds": {"threshold": bounds.threshold, "exceeds": bounds.exceeds},
         })
     return records

@@ -105,7 +105,11 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
     pairs = list(pairs)
     by_tail: dict[int, list[int]] = {}  # tail -> indices of its pairs
     by_head: dict[int, list[int]] = {}  # least point of the head's orbit -> indices
-    for i, (alpha, beta) in enumerate(pairs):
+    for i, pair in enumerate(pairs):
+        try:
+            alpha, beta = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"pairs must hold pairs of points, not {pair!r}") from None
         check_base_pair(n, alpha, beta)
         if orbit_of[alpha][0] != alpha:
             raise ValueError(f"tail {alpha} is not the least point of its orbit")

@@ -139,6 +139,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     fixed. A degree that is not an int of at least 1 raises ValueError.
     """
     _check_degree(degree)
+    if type(text) is not str:
+        raise ValueError(f"permutation text must be a str, not {type(text).__name__}")
     compact = "".join(text.split())
     if not compact:
         raise ValueError("empty permutation text")
@@ -189,7 +191,10 @@ class OrderedPartition:
 
     def __init__(self, degree: int, cells):
         _check_degree(degree)
-        cells = tuple(map(tuple, cells))
+        try:
+            cells = tuple(map(tuple, cells))
+        except TypeError:
+            raise ValueError("cells must be an iterable of iterables of points") from None
         try:
             norm = tuple(tuple(sorted(c)) for c in cells)
         except TypeError:
@@ -419,7 +424,10 @@ class PermGroup:
 
     def __init__(self, degree: int, generators=()):
         _check_degree(degree)
-        gens = tuple(generators)
+        try:
+            gens = tuple(generators)
+        except TypeError:
+            raise ValueError("generators must be an iterable of Permutations") from None
         for g in gens:
             if type(g) is not Permutation:
                 raise ValueError(f"generator {g!r} is not a Permutation")
@@ -575,6 +583,8 @@ def parse_group_text(text: str) -> PermGroup:
     that is not blank once comments are dropped is `degree: n`; every
     following such line is one permutation in cycle notation.
     """
+    if type(text) is not str:
+        raise ValueError(f"group text must be a str, not {type(text).__name__}")
     degree = None
     gens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -387,8 +387,10 @@ class TestVerdictRecord:
                 assert records == [verdict_record(group, alpha, beta, m, g) for m in METHODS]
 
     def test_given_graph_spares_the_stabilizer(self, monkeypatch, corpus_sample):
-        # without the fast method, a given graph's out-degree at alpha is
-        # the stabilizer orbit size, and the records stay as they were
+        # without the fast method only the graph is read: a given one, or
+        # else the pair's, built once. Its out-degree at alpha is the
+        # stabilizer orbit size, so the records equal those made beside a
+        # fast record, whose thresholds read the stabilizer
         groups = [*corpus_sample, cyclic_group(200)]
         methods = (["structural"], ["oracle"], ["structural", "oracle"])
         cases = []
@@ -396,27 +398,47 @@ class TestVerdictRecord:
             for alpha, beta in enumerate_base_pairs(group):
                 g = build_orbital_graph(group, alpha, beta)
                 for m in methods:
-                    cases.append((group, alpha, beta, m, g, verdict_records(group, alpha, beta, m)))
+                    expected = verdict_records(group, alpha, beta, ["fast", *m])[1:]
+                    cases.append((group, alpha, beta, m, g, expected))
 
         def no_stabilizer(*_):
             raise AssertionError("point stabilizer built")
 
+        builds = []
+        build = futility.build_orbital_graph
+        monkeypatch.setattr(
+            futility, "build_orbital_graph", lambda *a: builds.append(a) or build(*a)
+        )
         monkeypatch.setattr(PermGroup, "point_stabilizer", no_stabilizer)
         for group, alpha, beta, m, g, expected in cases:
+            builds.clear()
             assert verdict_records(group, alpha, beta, m, g) == expected
+            assert builds == []
+            assert verdict_records(group, alpha, beta, m) == expected
+            assert builds == [(group, alpha, beta)]
         with pytest.raises(AssertionError, match="point stabilizer"):
             verdict_records(*cases[0][:3], ["fast", "structural"], cases[0][4])
 
     def test_all_methods_read_the_orbit_sizes_once(self, monkeypatch, corpus_sample):
-        reads = []
+        # and build the pair's graph once, where the fast method alone
+        # builds none
+        reads, builds = [], []
         sizes = futility._pair_orbit_sizes
+        build = futility.build_orbital_graph
         monkeypatch.setattr(futility, "_pair_orbit_sizes", lambda *a: reads.append(a) or sizes(*a))
+        monkeypatch.setattr(
+            futility, "build_orbital_graph", lambda *a: builds.append(a) or build(*a)
+        )
         pairs = 0
         for group in corpus_sample:
             for alpha, beta in enumerate_base_pairs(group):
+                builds.clear()
                 verdict_records(group, alpha, beta, METHODS)
+                assert builds == [(group, alpha, beta)]
+                verdict_records(group, alpha, beta, ["fast"])
+                assert builds == [(group, alpha, beta)]
                 pairs += 1
-        assert len(reads) == pairs > 0
+        assert len(reads) == 2 * pairs > 0
 
 
 @given(groups_st(min_degree=3, max_degree=6))

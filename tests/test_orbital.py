@@ -305,6 +305,12 @@ class TestBuildMany:
             build_orbital_graphs(two_swaps, [(1, 1)])
         with pytest.raises(ValueError, match="out of range"):
             build_orbital_graphs(two_swaps, [(1, 8)])
+        # Python's own unpacking would otherwise raise its ValueError or a
+        # TypeError
+        for pair in [(1,), 1]:
+            message = exactly(f"pairs must hold pairs of points, not {pair!r}")
+            with pytest.raises(ValueError, match=message):
+                build_orbital_graphs(two_swaps, [pair])
 
 
 def assert_sizes_are_independent(group):

@@ -89,6 +89,10 @@ class TestParseCycles:
         for text in ["(1,2", "1,2)", "(1,2)x", "(a,b)", "", "(1,,2)", "(-1,2)"]:
             with pytest.raises(ValueError):
                 parse_cycles(text, 5)
+        # text that is no str would otherwise raise AttributeError
+        message = exactly("permutation text must be a str, not NoneType")
+        with pytest.raises(ValueError, match=message):
+            parse_cycles(None, 5)
 
     @pytest.mark.parametrize(
         "text,degree",
@@ -343,6 +347,10 @@ class TestStabilizerChain:
         group = PermGroup(4, [])
         assert group.order() == 1
         assert len(group.generators) == 1
+        # generators that are no iterable would otherwise raise TypeError
+        message = exactly("generators must be an iterable of Permutations")
+        with pytest.raises(ValueError, match=message):
+            PermGroup(3, 5)
 
     def test_generators_read_as_given(self):
         gens = [parse_cycles("(1,2,3)", 5), parse_cycles("(4,5)", 5), parse_cycles("(1,2,3)", 5)]
@@ -658,6 +666,10 @@ class TestOrderedPartition:
     def test_validation(self):
         with pytest.raises(ValueError, match="cover"):
             OrderedPartition(3, [[1, 2]])
+        # a cell that is no iterable would otherwise raise TypeError
+        message = exactly("cells must be an iterable of iterables of points")
+        with pytest.raises(ValueError, match=message):
+            OrderedPartition(3, [[1, 2], 3])
         with pytest.raises(ValueError, match="more than one"):
             OrderedPartition(3, [[1, 2], [2, 3]])
         with pytest.raises(ValueError, match="out of range"):
@@ -721,6 +733,9 @@ class TestGroupText:
             parse_group_text("(1,2)\n")
         with pytest.raises(ValueError, match="header"):
             parse_group_text("")
+        # no text at all would otherwise raise AttributeError
+        with pytest.raises(ValueError, match=exactly("group text must be a str, not NoneType")):
+            parse_group_text(None)
 
     def test_bad_permutation_line_reports_line_number(self):
         with pytest.raises(ValueError, match="line 2"):
