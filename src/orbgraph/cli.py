@@ -14,8 +14,9 @@ import json
 import os
 import sys
 
-from .futility import METHODS, verdict_records
+from .futility import METHODS, _pair_records, verdict_records
 from .orbital import (
+    _sized_base_pairs,
     build_orbital_graph,
     build_orbital_graphs,
     enumerate_base_pairs,
@@ -94,20 +95,29 @@ def _cmd_base_pairs(args) -> int:
 def _cmd_futility(args) -> int:
     group = _load_group(args.group)
     methods = list(METHODS) if args.method == "all" else [args.method]
-    pairs = [args.pair] if args.pair is not None else enumerate_base_pairs(group)
     # the table's paired and components columns read the graph, so only a
-    # fast-only JSON run goes without it; one pair is closed under the
-    # generators, and a whole enumeration is built from its stabilizers
-    graphs = [None] * len(pairs)
-    if not args.json or any(m != "fast" for m in methods):
-        if args.pair is not None:
-            graphs = [build_orbital_graph(group, *args.pair)]
-        else:
-            graphs = build_orbital_graphs(group, pairs)
+    # fast-only JSON run goes without it
+    build = not args.json or any(m != "fast" for m in methods)
+    if args.pair is not None:
+        # one pair is closed under the generators; verdict_records checks
+        # the pair and reads its orbit sizes
+        pairs = [args.pair]
+        graphs = [build_orbital_graph(group, *args.pair) if build else None]
+        records_of = [verdict_records(group, *args.pair, methods, graphs[0])]
+    else:
+        # a whole enumeration is built from its stabilizers, and each pair
+        # takes its orbit sizes from the cells the enumeration walks; the
+        # library made the pairs and graphs, so none is checked again
+        sized = list(_sized_base_pairs(group))
+        pairs = [pair for pair, _ in sized]
+        graphs = build_orbital_graphs(group, pairs) if build else [None] * len(pairs)
+        records_of = (
+            _pair_records(group, *pair, methods, graph, sizes)
+            for (pair, sizes), graph in zip(sized, graphs)
+        )
 
     rows = []
-    for (alpha, beta), graph in zip(pairs, graphs):
-        records = verdict_records(group, alpha, beta, methods, graph)
+    for (alpha, beta), graph, records in zip(pairs, graphs, records_of):
         verdicts = {r["futile"] for r in records}
         if len(verdicts) > 1:
             detail = ", ".join(f"{r['method']}={r['futile']}" for r in records)
@@ -119,7 +129,9 @@ def _cmd_futility(args) -> int:
         rows.append(((alpha, beta), records, graph))
 
     if args.json:
-        print(json.dumps([r for _, records, _ in rows for r in records]))
+        # the library built these records and none contains itself, so
+        # json need not check for cycles
+        print(json.dumps([r for _, records, _ in rows for r in records], check_circular=False))
         return 0
 
     print(
@@ -166,7 +178,7 @@ def _cmd_refine(args) -> int:
     else:
         start = group.orbit_partition()
     trace = refine_by_graph(start, graph)
-    print(json.dumps(trace_record(trace)))
+    print(json.dumps(trace_record(trace), check_circular=False))
     return 0
 
 

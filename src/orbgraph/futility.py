@@ -13,9 +13,15 @@ from the definition directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import compress, pairwise
 
-from .orbital import OrbitalGraph, _pair_orbit_sizes, build_orbital_graph, check_base_pair
+from .orbital import (
+    OrbitalGraph,
+    _orbit_sizes,
+    _pair_orbit_sizes,
+    build_orbital_graph,
+    check_base_pair,
+)
 from .perm import PermGroup, Permutation
 
 SHAPE_COMPLETE = "complete-on-orbit"
@@ -39,7 +45,8 @@ class FutilityVerdict:
 
 def _witness(graph: OrbitalGraph, group: PermGroup):
     """First adjacent transposition (a, b) of an orbit cell, in cell order,
-    that moves some arc off the arc set, with the least such arc.
+    that moves some arc off the arc set, as ((a, b), arc) with the least
+    such arc; a < b, since cells are ascending.
 
     These transpositions generate the orbit-partition stabilizer, and one
     fixes every arc that avoids a and b, so only the arcs at a or b are
@@ -49,7 +56,11 @@ def _witness(graph: OrbitalGraph, group: PermGroup):
     out_adj, in_adj = graph.out_adj, graph.in_adj
     for cell in group.orbit_partition().cells:
         for a, b in pairwise(cell):
-            if out_adj[a - 1] == out_adj[b - 1] and in_adj[a - 1] == in_adj[b - 1]:
+            # == reads every entry of two tuples even when they are one
+            # object, as the lists of a batch-built complete bipartite
+            # graph are, so identity is tried first
+            oa, ob, ia, ib = out_adj[a - 1], out_adj[b - 1], in_adj[a - 1], in_adj[b - 1]
+            if (oa is ob or oa == ob) and (ia is ib or ia == ib):
                 continue
             moved = []
             for p, q in ((a, b), (b, a)):
@@ -67,10 +78,21 @@ def _witness(graph: OrbitalGraph, group: PermGroup):
                         moved.append((x, p))
                         break
             if moved:
-                images = list(range(1, graph.degree + 1))
-                images[a - 1], images[b - 1] = b, a
-                return Permutation._unchecked(tuple(images)), min(moved)
+                return (a, b), min(moved)
     return None
+
+
+def _required_witness(graph: OrbitalGraph, group: PermGroup):
+    """The witness of a graph the structural test classified non-futile."""
+    witness = _witness(graph, group)
+    if witness is None:
+        # the classification says some stabilizer element breaks the graph,
+        # so a generator must; reaching here means a defect
+        raise RuntimeError(
+            "graph classified non-futile but every orbit-partition stabilizer "
+            "generator preserves its arcs"
+        )
+    return witness
 
 
 def is_futile_fast(group: PermGroup, alpha: int, beta: int) -> bool:
@@ -103,22 +125,34 @@ def is_futile_structural(graph: OrbitalGraph, group: PermGroup) -> FutilityVerdi
     """
     if graph.degree != group.degree:
         raise ValueError("graph and group degrees differ")
-    tails = [x for x, adj in enumerate(graph.out_adj, 1) if adj]
-    heads = [y for y, adj in enumerate(graph.in_adj, 1) if adj]
-    count = sum(map(len, graph.out_adj))
-    if tails == heads and count == len(tails) * (len(tails) - 1):
-        return FutilityVerdict(True, SHAPE_COMPLETE, tuple(tails), None)
-    if count == len(tails) * len(heads) and set(tails).isdisjoint(heads):
-        return FutilityVerdict(True, SHAPE_BIPARTITE, tuple(sorted(tails + heads)), None)
-    witness = _witness(graph, group)
-    if witness is None:
-        # the classification above says some stabilizer element breaks the
-        # graph, so a generator must; reaching here means a defect
-        raise RuntimeError(
-            "graph classified non-futile but every orbit-partition stabilizer "
-            "generator preserves its arcs"
-        )
-    return FutilityVerdict(False, SHAPE_NONE, None, witness)
+    shape, tails, heads = _shape(graph, sum(map(len, graph.out_adj)))
+    if shape == SHAPE_COMPLETE:
+        return FutilityVerdict(True, shape, tuple(tails), None)
+    if shape == SHAPE_BIPARTITE:
+        return FutilityVerdict(True, shape, tuple(sorted(tails + heads)), None)
+    (a, b), arc = _required_witness(graph, group)
+    images = list(range(1, graph.degree + 1))
+    images[a - 1], images[b - 1] = b, a
+    return FutilityVerdict(False, shape, None, (Permutation._unchecked(tuple(images)), arc))
+
+
+def _shape(graph: OrbitalGraph, count: int):
+    """The structural test's shape of a graph with count arcs, with the
+    graph's tails and heads when it is futile. The points without out- or
+    in-neighbours are counted first, by C-level calls; only counts that fit
+    a futile shape have the tails and heads listed, by one C-level pass
+    each."""
+    n, out_adj, in_adj = graph.degree, graph.out_adj, graph.in_adj
+    t, h = n - out_adj.count(()), n - in_adj.count(())
+    if count == t * (t - 1) or count == t * h:
+        points = range(1, n + 1)
+        tails = list(compress(points, out_adj))
+        heads = list(compress(points, in_adj))
+        if tails == heads and count == t * (t - 1):
+            return SHAPE_COMPLETE, tails, heads
+        if count == t * h and set(tails).isdisjoint(heads):
+            return SHAPE_BIPARTITE, tails, heads
+    return SHAPE_NONE, None, None
 
 
 def is_futile_oracle(graph: OrbitalGraph, group: PermGroup) -> bool:
@@ -149,13 +183,14 @@ def arc_count_bounds(group: PermGroup, alpha: int, beta: int) -> ArcCountBounds:
     non-futile graph has at most min(n(m - 1), m(n - 1)) arcs. A futile
     graph has n(n - 1) or n*m arcs, more than either threshold.
     """
-    return _bounds(_pair_orbit_sizes(group, alpha, beta))
+    sizes = _pair_orbit_sizes(group, alpha, beta)
+    threshold = _threshold(sizes)
+    return ArcCountBounds(threshold, sizes[0] * sizes[1] > threshold)
 
 
-def _bounds(sizes) -> ArcCountBounds:
-    n, k, m, same_orbit = sizes
-    threshold = n * (n - 2) if same_orbit else min(n * (m - 1), m * (n - 1))
-    return ArcCountBounds(threshold, n * k > threshold)
+def _threshold(sizes) -> int:
+    n, _, m, same_orbit = sizes
+    return n * (n - 2) if same_orbit else min(n * (m - 1), m * (n - 1))
 
 
 def transitive_group_futility(group: PermGroup) -> bool:
@@ -191,49 +226,68 @@ def verdict_records(group, alpha, beta, methods, graph=None) -> list[dict]:
     the stabilizer gives |beta^(G_alpha)|, so that the fast verdict stays
     independent of the graph. A given graph must be the pair's: of the
     group's degree, with the pair as an arc. Otherwise ValueError, as for
-    a bad pair or method.
+    a bad pair or method. The pair is checked once, by the closure when it
+    builds the graph.
     """
     if unknown := [m for m in methods if m not in METHODS]:
         raise ValueError(f"unknown method {unknown[0]!r}")
-    check_base_pair(group.degree, alpha, beta)
-    if graph is not None:
-        if graph.degree != group.degree:
-            raise ValueError("graph and group degrees differ")
-        if not graph.has_arc(alpha, beta):
-            raise ValueError(f"base pair ({alpha},{beta}) is not an arc of the graph")
-    elif any(m != "fast" for m in methods):
+    if graph is None and any(m != "fast" for m in methods):
         graph = build_orbital_graph(group, alpha, beta)
+    else:
+        check_base_pair(group.degree, alpha, beta)
+        if graph is not None:
+            if graph.degree != group.degree:
+                raise ValueError("graph and group degrees differ")
+            if not graph.has_arc(alpha, beta):
+                raise ValueError(f"base pair ({alpha},{beta}) is not an arc of the graph")
     k = None if graph is None or "fast" in methods else len(graph.out_adj[alpha - 1])
-    sizes = _pair_orbit_sizes(group, alpha, beta, k)
+    return _pair_records(group, alpha, beta, methods, graph, _orbit_sizes(group, alpha, beta, k))
+
+
+def _pair_records(group, alpha, beta, methods, graph, sizes) -> list[dict]:
+    """verdict_records on a pair, its graph and its orbit sizes, none of
+    which is checked: verdict_records has checked them, or the library
+    made them. The graph may be None for the fast method alone.
+
+    The graph's arcs are counted once. A witness swaps the adjacent points
+    (a, b) of a cell, so its cycles read "(a,b)"; its dict is made once and
+    shared by the structural and oracle records, and a pair's records share
+    one base_pair list and one thresholds dict.
+    """
     n, k, _, same_orbit = sizes
-    bounds = _bounds(sizes)
+    threshold = _threshold(sizes)
+    thresholds = {"threshold": threshold, "exceeds": n * k > threshold}
     arcs = None if graph is None else sum(map(len, graph.out_adj))
+    base_pair = [alpha, beta]
     records, found = [], None
     for method in methods:
         witness, shape = None, SHAPE_NONE
         if method == "fast":
             futile = _fast(sizes)
         elif method == "structural":
-            v = is_futile_structural(graph, group)
-            futile, shape, witness = v.futile, v.shape, v.witness
-            found = witness
+            shape = _shape(graph, arcs)[0]
+            futile = shape != SHAPE_NONE
+            if not futile:
+                witness = found = _witness_record(_required_witness(graph, group))
         else:
-            witness = found or _witness(graph, group)
+            witness = found or _witness_record(_witness(graph, group))
             futile = witness is None
         if futile and method != "structural":
             shape = SHAPE_COMPLETE if same_orbit else SHAPE_BIPARTITE
         records.append({
-            "base_pair": [alpha, beta],
+            "base_pair": base_pair,
             "futile": futile,
             "shape": shape,
             "method": method,
-            "witness": None
-            if witness is None
-            else {
-                "permutation_cycles": witness[0].cycle_string(),
-                "violated_arc": list(witness[1]),
-            },
+            "witness": witness,
             "arc_count": n * k if method == "fast" else arcs,
-            "thresholds": {"threshold": bounds.threshold, "exceeds": bounds.exceeds},
+            "thresholds": thresholds,
         })
     return records
+
+
+def _witness_record(witness) -> dict | None:
+    if witness is None:
+        return None
+    (a, b), arc = witness
+    return {"permutation_cycles": f"({a},{b})", "violated_arc": list(arc)}

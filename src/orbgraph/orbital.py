@@ -85,7 +85,10 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
     it carries the row (r,) + D_b1 + D_b2 + ... along, the row at y = x^s
     being the row at x mapped by s, and graph (r, b)'s out-list at x is
     its slice of the row at x, sorted. Every out-list is an ascending
-    tuple. A one-point list is the call's one tuple (p,) for its point,
+    tuple. When D_b is b's whole orbit, as in a complete bipartite graph,
+    every g maps it onto itself, so each out-list of the graph is the
+    group's cell of that orbit, one tuple and no sort. Otherwise a
+    one-point list is the call's one tuple (p,) for its point,
     shared by all graphs the call builds, and one itemgetter call per
     graph gathers those for r's whole orbit; a two-point slice is ordered
     by one comparison, and only wider slices are sorted. When r's orbit
@@ -149,13 +152,16 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
             at = dict(zip(orbit, range(len(orbit))))
             spread = itemgetter(*map(at.get, range(1, n + 1), repeat(len(orbit), n)))
         for i, lo, hi in zip(idx, starts, starts[1:] + [len(cat)]):
-            if hi - lo == 1:
+            cell = orbit_of[pairs[i][1]]
+            if hi - lo == len(cell):
+                # D_b is b's whole orbit, which the group maps onto itself
+                lists = (cell,) * len(orbit)
+            elif hi - lo == 1:
                 if singles is None:
                     singles = tuple(zip(range(n + 1)))  # (p,) at index p
-                if len(orbit) == 1:  # one index would make itemgetter return a scalar
-                    lists = (singles[ordered[0][lo]],)
-                else:
-                    lists = itemgetter(*map(itemgetter(lo), ordered))(singles)
+                # r's orbit has two or more points here, since a fixed r has
+                # G_r = G, so itemgetter returns a tuple
+                lists = itemgetter(*map(itemgetter(lo), ordered))(singles)
             elif hi - lo == 2:
                 column = zip(map(itemgetter(lo), ordered), map(itemgetter(lo + 1), ordered))
                 lists = tuple([(a, b) if a < b else (b, a) for a, b in column])
@@ -175,12 +181,19 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
 def _pair_orbit_sizes(
     group: PermGroup, alpha: int, beta: int, k: int | None = None
 ) -> tuple[int, int, int, bool]:
-    """Check the base pair and return |alpha^G|, |beta^(G_alpha)|, |beta^G|
-    and whether beta lies in alpha's orbit: all that the arc count, the
+    """Check the base pair and return its orbit sizes; see _orbit_sizes."""
+    check_base_pair(group.degree, alpha, beta)
+    return _orbit_sizes(group, alpha, beta, k)
+
+
+def _orbit_sizes(
+    group: PermGroup, alpha: int, beta: int, k: int | None = None
+) -> tuple[int, int, int, bool]:
+    """|alpha^G|, |beta^(G_alpha)|, |beta^G| and whether beta lies in
+    alpha's orbit, for a pair already checked: all that the arc count, the
     fast futility test and the arc-count thresholds read. A given k is
     |beta^(G_alpha)| read off the pair's graph; otherwise it comes from
     alpha's stabilizer."""
-    check_base_pair(group.degree, alpha, beta)
     orb_a, orb_b = group._orbit_of[alpha], group._orbit_of[beta]
     if k is None:
         k = len(group.point_stabilizer(alpha)._orbit_of[beta])
@@ -272,6 +285,7 @@ def graph_to_json(graph: OrbitalGraph) -> str:
             "base_pair": list(graph.base_pair),
             "arcs": [list(a) for a in graph.arcs],
             "isolated": list(isolated_vertices(graph)),
-        }
+        },
+        check_circular=False,
     )
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -13,9 +14,12 @@ import pytest
 import orbgraph
 from orbgraph import futility
 from orbgraph.cli import run
-from orbgraph.orbital import build_orbital_graph, enumerate_base_pairs
+from orbgraph.futility import METHODS, is_futile_structural, verdict_records
+from orbgraph.orbital import OrbitalGraph, build_orbital_graph, enumerate_base_pairs
 from orbgraph.perm import parse_cycles, parse_group_text
 
+from support import block_preserving_group
+from test_futility import FORMULA_FAMILIES
 from test_golden import cases
 
 TWO_SWAPS = "degree: 7\n(2,3)\n(4,6)\n"
@@ -294,6 +298,64 @@ class TestBuilders:
         for a, b in enumerate_base_pairs(parse_group_text(text)):
             joined += json.loads(_stdout(["futility", text, "--pair", f"{a},{b}", "--json"]))
         assert json.loads(_stdout(["futility", text, "--json"])) == joined
+
+    @pytest.mark.parametrize("table", [False, True])
+    @pytest.mark.parametrize("name,text", FAST_CASES[:8])
+    def test_all_pairs_look_up_and_check_no_pair(self, monkeypatch, name, text, table):
+        # the enumeration made each pair and its orbit sizes, and the batch
+        # builder, which checks the pair set it is given, made each graph;
+        # the verdicts check none of them again. The table's paired column
+        # asks the graph whether the reversed pair is an arc
+        def no_check(*args):
+            raise AssertionError("per-pair lookup or check on the all-pairs path")
+
+        argv = ["futility", text] + ([] if table else ["--json"])
+        expected = _stdout(argv)
+        monkeypatch.setattr("orbgraph.orbital._pair_orbit_sizes", no_check)
+        monkeypatch.setattr("orbgraph.futility._pair_orbit_sizes", no_check)
+        monkeypatch.setattr("orbgraph.futility.check_base_pair", no_check)
+        monkeypatch.setattr("orbgraph.cli.verdict_records", no_check)
+        if not table:
+            monkeypatch.setattr(OrbitalGraph, "has_arc", no_check)
+        assert _stdout(argv) == expected
+
+
+def _group_text(group) -> str:
+    return f"degree: {group.degree}\n" + "".join(g.cycle_string() + "\n" for g in group.generators)
+
+
+def _seeded_groups():
+    rng = random.Random(20261018)
+    return [
+        block_preserving_group(rng, rng.randint(20, 60), rng.randint(1, 3), rng.randint(2, 8))
+        for _ in range(30)
+    ]
+
+
+def test_all_pairs_records_are_the_pairs_verdict_records(corpus_sample):
+    # pair by pair, all-pairs futility prints what verdict_records makes of
+    # the pair's closure, and a witness's cycles are those of the
+    # structural test's permutation
+    families = [param.values[0](*param.values[1]) for param in FORMULA_FAMILIES]
+    swept = witnessed = 0
+    for group in [*corpus_sample, *families, *_seeded_groups()]:
+        records = json.loads(_stdout(["futility", _group_text(group), "--json"]))
+        pairs = enumerate_base_pairs(group)
+        assert len(records) == len(METHODS) * len(pairs)
+        for i, (alpha, beta) in enumerate(pairs):
+            graph = build_orbital_graph(group, alpha, beta)
+            mine = records[i * len(METHODS) : (i + 1) * len(METHODS)]
+            assert mine == verdict_records(group, alpha, beta, METHODS, graph)
+            verdict = is_futile_structural(graph, group)
+            for r in mine:
+                if r["method"] == "fast" or r["futile"]:
+                    assert r["witness"] is None
+                else:
+                    assert r["witness"]["permutation_cycles"] == verdict.witness[0].cycle_string()
+                    assert r["witness"]["violated_arc"] == list(verdict.witness[1])
+                    witnessed += 1
+            swept += 1
+    assert swept > 2000 and witnessed > 1000
 
 
 class TestRefine:

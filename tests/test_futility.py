@@ -8,7 +8,7 @@ from itertools import pairwise
 import pytest
 from hypothesis import given, settings
 
-from orbgraph import futility
+from orbgraph import futility, orbital
 from orbgraph.futility import (
     METHODS,
     SHAPE_BIPARTITE,
@@ -22,7 +22,12 @@ from orbgraph.futility import (
     verdict_record,
     verdict_records,
 )
-from orbgraph.orbital import arc_count_formula, build_orbital_graph, enumerate_base_pairs
+from orbgraph.orbital import (
+    arc_count_formula,
+    build_orbital_graph,
+    build_orbital_graphs,
+    enumerate_base_pairs,
+)
 from orbgraph.perm import PermGroup, Permutation
 
 from support import (
@@ -215,6 +220,35 @@ class TestOracle:
                 ]
                 checked += 1
         assert checked > 0
+
+
+class EqualityRefused(tuple):
+    """A neighbour list that may be compared only by identity."""
+
+    def __eq__(self, other):
+        raise AssertionError("a shared neighbour list compared entry by entry")
+
+    __hash__ = tuple.__hash__
+
+
+def test_oracle_tells_shared_lists_by_identity():
+    # the batch builder gives every point of a complete bipartite graph one
+    # out-list or one in-list, and == would read all of it at every point
+    group = group_from(12, "(1,2,3,4,5)", "(6,7,8,9,10,11,12)")
+    pairs = enumerate_base_pairs(group)
+    checked = 0
+    for g in build_orbital_graphs(group, pairs):
+        if is_futile_structural(g, group).shape != SHAPE_BIPARTITE:
+            continue
+        refusing = {}
+
+        def wrap(lists):
+            return tuple(refusing.setdefault(id(x), EqualityRefused(x)) if x else x for x in lists)
+
+        wrapped = dataclasses.replace(g, out_adj=wrap(g.out_adj), in_adj=wrap(g.in_adj))
+        assert is_futile_oracle(wrapped, group)
+        checked += 1
+    assert checked == 2
 
 
 class TestStabilizerTransitivity:
@@ -419,13 +453,31 @@ class TestVerdictRecord:
         with pytest.raises(AssertionError, match="point stabilizer"):
             verdict_records(*cases[0][:3], ["fast", "structural"], cases[0][4])
 
+    def test_checks_the_pair_once(self, monkeypatch, corpus_sample):
+        # with a graph given, with one built by closure and with none
+        cases = []
+        for group in corpus_sample[:20]:
+            for alpha, beta in enumerate_base_pairs(group):
+                g = build_orbital_graph(group, alpha, beta)
+                for methods in (METHODS, ["fast"], ["structural", "oracle"]):
+                    cases += [(group, alpha, beta, methods, g), (group, alpha, beta, methods, None)]
+        checks = []
+        check = futility.check_base_pair
+        counting = lambda *a: checks.append(a) or check(*a)
+        monkeypatch.setattr(futility, "check_base_pair", counting)
+        monkeypatch.setattr(orbital, "check_base_pair", counting)
+        for group, alpha, beta, methods, g in cases:
+            checks.clear()
+            verdict_records(group, alpha, beta, methods, g)
+            assert checks == [(group.degree, alpha, beta)]
+
     def test_all_methods_read_the_orbit_sizes_once(self, monkeypatch, corpus_sample):
         # and build the pair's graph once, where the fast method alone
         # builds none
         reads, builds = [], []
-        sizes = futility._pair_orbit_sizes
+        sizes = futility._orbit_sizes
         build = futility.build_orbital_graph
-        monkeypatch.setattr(futility, "_pair_orbit_sizes", lambda *a: reads.append(a) or sizes(*a))
+        monkeypatch.setattr(futility, "_orbit_sizes", lambda *a: reads.append(a) or sizes(*a))
         monkeypatch.setattr(
             futility, "build_orbital_graph", lambda *a: builds.append(a) or build(*a)
         )

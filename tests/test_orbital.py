@@ -242,6 +242,25 @@ class TestBuildMany:
                 assert is_self_paired(g)
         assert self_paired == (1 if build is cyclic_group else len(graphs))
 
+    def test_complete_bipartite_graphs_share_one_out_list(self, corpus):
+        # beta's stabilizer orbit is its whole orbit, so every tail's
+        # out-list is that orbit: one tuple, and so is every in-list, the
+        # paired graph being complete bipartite too
+        groups = [*corpus, disjoint_symmetric_groups(4, 3), group_from(7, "(2,3,4)", "(5,6)")]
+        shared = 0
+        for group in groups:
+            graphs = build_orbital_graphs(group, enumerate_base_pairs(group))
+            for g in graphs:
+                alpha, beta = g.base_pair
+                if beta in group.orbit(alpha) or not is_futile_fast(group, alpha, beta):
+                    continue
+                reference = build_orbital_graph(group, alpha, beta)
+                assert (g.out_adj, g.in_adj) == (reference.out_adj, reference.in_adj)
+                assert len({id(heads) for heads in g.out_adj if heads}) == 1
+                assert len({id(tails) for tails in g.in_adj if tails}) == 1
+                shared += 1
+        assert shared > 500
+
     @pytest.mark.parametrize(
         "group",
         [group_from(7, "(2,3,4)", "(5,6)"), PermGroup(2), group_from(3, "(2,3)")],
