@@ -138,20 +138,16 @@ def is_futile_structural(graph: OrbitalGraph, group: PermGroup) -> FutilityVerdi
 
 def _shape(graph: OrbitalGraph, count: int):
     """The structural test's shape of a graph with count arcs, with the
-    graph's tails and heads when it is futile. The points without out- or
-    in-neighbours are counted first, by C-level calls; only counts that fit
-    a futile shape have the tails and heads listed, by one C-level pass
-    each."""
-    n, out_adj, in_adj = graph.degree, graph.out_adj, graph.in_adj
-    t, h = n - out_adj.count(()), n - in_adj.count(())
-    if count == t * (t - 1) or count == t * h:
-        points = range(1, n + 1)
-        tails = list(compress(points, out_adj))
-        heads = list(compress(points, in_adj))
-        if tails == heads and count == t * (t - 1):
-            return SHAPE_COMPLETE, tails, heads
-        if count == t * h and set(tails).isdisjoint(heads):
-            return SHAPE_BIPARTITE, tails, heads
+    graph's tails and heads when it is futile. The tails and heads are the
+    points with a non-empty out- or in-list, each listed by one C-level
+    pass."""
+    points = range(1, graph.degree + 1)
+    tails = list(compress(points, graph.out_adj))
+    heads = list(compress(points, graph.in_adj))
+    if tails == heads and count == len(tails) * (len(tails) - 1):
+        return SHAPE_COMPLETE, tails, heads
+    if count == len(tails) * len(heads) and set(tails).isdisjoint(heads):
+        return SHAPE_BIPARTITE, tails, heads
     return SHAPE_NONE, None, None
 
 
@@ -183,14 +179,13 @@ def arc_count_bounds(group: PermGroup, alpha: int, beta: int) -> ArcCountBounds:
     non-futile graph has at most min(n(m - 1), m(n - 1)) arcs. A futile
     graph has n(n - 1) or n*m arcs, more than either threshold.
     """
-    sizes = _pair_orbit_sizes(group, alpha, beta)
-    threshold = _threshold(sizes)
-    return ArcCountBounds(threshold, sizes[0] * sizes[1] > threshold)
+    return _bounds(_pair_orbit_sizes(group, alpha, beta))
 
 
-def _threshold(sizes) -> int:
-    n, _, m, same_orbit = sizes
-    return n * (n - 2) if same_orbit else min(n * (m - 1), m * (n - 1))
+def _bounds(sizes) -> ArcCountBounds:
+    n, k, m, same_orbit = sizes
+    threshold = n * (n - 2) if same_orbit else min(n * (m - 1), m * (n - 1))
+    return ArcCountBounds(threshold, n * k > threshold)
 
 
 def transitive_group_futility(group: PermGroup) -> bool:
@@ -228,6 +223,9 @@ def verdict_records(group, alpha, beta, methods, graph=None) -> list[dict]:
     group's degree, with the pair as an arc. Otherwise ValueError, as for
     a bad pair or method. The pair is checked once, by the closure when it
     builds the graph.
+
+    The records of one call share one thresholds dict; every other value
+    in them is a record's own.
     """
     if unknown := [m for m in methods if m not in METHODS]:
         raise ValueError(f"unknown method {unknown[0]!r}")
@@ -250,15 +248,14 @@ def _pair_records(group, alpha, beta, methods, graph, sizes) -> list[dict]:
     made them. The graph may be None for the fast method alone.
 
     The graph's arcs are counted once. A witness swaps the adjacent points
-    (a, b) of a cell, so its cycles read "(a,b)"; its dict is made once and
-    shared by the structural and oracle records, and a pair's records share
-    one base_pair list and one thresholds dict.
+    (a, b) of a cell, so its cycles read "(a,b)"; the search and this text
+    are made once and serve both the structural and the oracle record. A
+    pair's records share one thresholds dict.
     """
     n, k, _, same_orbit = sizes
-    threshold = _threshold(sizes)
-    thresholds = {"threshold": threshold, "exceeds": n * k > threshold}
+    bounds = _bounds(sizes)
+    thresholds = {"threshold": bounds.threshold, "exceeds": bounds.exceeds}
     arcs = None if graph is None else sum(map(len, graph.out_adj))
-    base_pair = [alpha, beta]
     records, found = [], None
     for method in methods:
         witness, shape = None, SHAPE_NONE
@@ -268,26 +265,29 @@ def _pair_records(group, alpha, beta, methods, graph, sizes) -> list[dict]:
             shape = _shape(graph, arcs)[0]
             futile = shape != SHAPE_NONE
             if not futile:
-                witness = found = _witness_record(_required_witness(graph, group))
+                witness = found = _witness_text(_required_witness(graph, group))
         else:
-            witness = found or _witness_record(_witness(graph, group))
+            witness = found or _witness_text(_witness(graph, group))
             futile = witness is None
         if futile and method != "structural":
             shape = SHAPE_COMPLETE if same_orbit else SHAPE_BIPARTITE
         records.append({
-            "base_pair": base_pair,
+            "base_pair": [alpha, beta],
             "futile": futile,
             "shape": shape,
             "method": method,
-            "witness": witness,
+            "witness": None
+            if witness is None
+            else {"permutation_cycles": witness[0], "violated_arc": list(witness[1])},
             "arc_count": n * k if method == "fast" else arcs,
             "thresholds": thresholds,
         })
     return records
 
 
-def _witness_record(witness) -> dict | None:
+def _witness_text(witness):
+    """A witness ((a, b), arc) as its cycles' text and its arc."""
     if witness is None:
         return None
     (a, b), arc = witness
-    return {"permutation_cycles": f"({a},{b})", "violated_arc": list(arc)}
+    return f"({a},{b})", arc

@@ -123,6 +123,23 @@ class TestStructural:
         assert perm.cycle_string() == "(3,4)"
         assert arc == (1, 3)
 
+    @pytest.mark.parametrize(
+        "pair,shape,component",
+        [((3, 4), SHAPE_BIPARTITE, (2, 3, 4, 6)), ((2, 3), SHAPE_COMPLETE, (2, 3))],
+    )
+    def test_list_neighbour_lists(self, two_swaps, pair, shape, component):
+        # a graph built by hand may hold lists; a point with an empty list,
+        # [] as well as (), is neither tail nor head
+        g = build_orbital_graph(two_swaps, *pair)
+        listed = dataclasses.replace(
+            g, out_adj=tuple(map(list, g.out_adj)), in_adj=tuple(map(list, g.in_adj))
+        )
+        v = is_futile_structural(listed, two_swaps)
+        assert v.futile and v.shape == shape and v.component == component
+        records = verdict_records(two_swaps, *pair, METHODS, listed)
+        assert [r["futile"] for r in records] == [True] * len(METHODS)
+        assert records[1]["shape"] == shape
+
     def test_degree_mismatch(self, two_swaps, two_triangles):
         g = build_orbital_graph(two_swaps, 1, 7)
         with pytest.raises(ValueError):
@@ -371,6 +388,15 @@ class TestVerdictRecord:
             "violated_arc": [1, 3],
         }
         assert rec["arc_count"] == 12
+
+    def test_records_share_only_their_thresholds(self, two_triangles):
+        # so changing one record's pair or witness leaves the others alone
+        fast, structural, oracle = verdict_records(two_triangles, 1, 2, METHODS)
+        assert structural["witness"] == oracle["witness"]
+        assert structural["witness"] is not oracle["witness"]
+        assert structural["witness"]["violated_arc"] is not oracle["witness"]["violated_arc"]
+        assert len({id(r["base_pair"]) for r in (fast, structural, oracle)}) == 3
+        assert fast["thresholds"] is structural["thresholds"] is oracle["thresholds"]
 
     def test_oracle_record_shape_from_self_pairing(self, two_swaps):
         rec = verdict_record(two_swaps, 1, 3, "oracle")
