@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, pairwise
+from operator import itemgetter
 
 from .orbital import (
     OrbitalGraph,
@@ -51,10 +52,21 @@ def _witness(graph: OrbitalGraph, group: PermGroup):
     These transpositions generate the orbit-partition stabilizer, and one
     fixes every arc that avoids a and b, so only the arcs at a or b are
     read. When a and b have equal neighbour lists they are not neighbours,
-    since arcs are never loops, and the swap fixes the graph.
+    since arcs are never loops, and the swap fixes the graph. So a cell
+    whose points all have empty lists holds no witness. A cell of three or
+    more points whose first point has no list is tested for that by one
+    C-level itemgetter pass over its lists, and skipped if it holds none;
+    a smaller cell has at most one pair, which the walk settles as fast.
     """
     out_adj, in_adj = graph.out_adj, graph.in_adj
+    padded = None  # each point's lists at its own index, made once needed
     for cell in group.orbit_partition().cells:
+        if len(cell) > 2 and not out_adj[cell[0] - 1] and not in_adj[cell[0] - 1]:
+            if padded is None:
+                padded = ((), *out_adj), ((), *in_adj)
+            get = itemgetter(*cell)
+            if not any(get(padded[0])) and not any(get(padded[1])):
+                continue
         for a, b in pairwise(cell):
             # == reads every entry of two tuples even when they are one
             # object, as the lists of a batch-built complete bipartite
@@ -123,8 +135,7 @@ def is_futile_structural(graph: OrbitalGraph, group: PermGroup) -> FutilityVerdi
     adjacent transposition of an orbit cell that breaks the graph, with
     the least arc it moves off the arc set.
     """
-    if graph.degree != group.degree:
-        raise ValueError("graph and group degrees differ")
+    _check_graph(graph, group)
     shape, tails, heads = _shape(graph, sum(map(len, graph.out_adj)))
     if shape == SHAPE_COMPLETE:
         return FutilityVerdict(True, shape, tuple(tails), None)
@@ -158,9 +169,15 @@ def is_futile_oracle(graph: OrbitalGraph, group: PermGroup) -> bool:
     each orbit cell, decides the whole group. Each is applied to the arcs
     it can move, those at its two points, so time and memory stay linear
     in the graph."""
+    _check_graph(graph, group)
+    return _witness(graph, group) is None
+
+
+def _check_graph(graph, group: PermGroup) -> None:
+    if not isinstance(graph, OrbitalGraph):
+        raise ValueError(f"graph must be an OrbitalGraph, not {type(graph).__name__}")
     if graph.degree != group.degree:
         raise ValueError("graph and group degrees differ")
-    return _witness(graph, group) is None
 
 
 @dataclass(frozen=True)
@@ -227,15 +244,18 @@ def verdict_records(group, alpha, beta, methods, graph=None) -> list[dict]:
     The records of one call share one thresholds dict; every other value
     in them is a record's own.
     """
-    if unknown := [m for m in methods if m not in METHODS]:
+    try:
+        unknown = [m for m in methods if m not in METHODS]
+    except TypeError:
+        raise ValueError("methods must be an iterable of method names") from None
+    if unknown:
         raise ValueError(f"unknown method {unknown[0]!r}")
     if graph is None and any(m != "fast" for m in methods):
         graph = build_orbital_graph(group, alpha, beta)
     else:
         check_base_pair(group.degree, alpha, beta)
         if graph is not None:
-            if graph.degree != group.degree:
-                raise ValueError("graph and group degrees differ")
+            _check_graph(graph, group)
             if not graph.has_arc(alpha, beta):
                 raise ValueError(f"base pair ({alpha},{beta}) is not an arc of the graph")
     k = None if graph is None or "fast" in methods else len(graph.out_adj[alpha - 1])

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
@@ -32,6 +33,18 @@ class OrbitalGraph:
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple((x, y) for x, heads in enumerate(self.out_adj, 1) for y in heads)
+
+    @classmethod
+    def _make(cls, degree, base_pair, out_adj, in_adj) -> OrbitalGraph:
+        """The graph __init__ would make, at less cost than the frozen
+        dataclass's __init__, which checks nothing either."""
+        graph = object.__new__(cls)
+        put = object.__setattr__  # the frozen class's own __setattr__ refuses
+        put(graph, "degree", degree)
+        put(graph, "base_pair", base_pair)
+        put(graph, "out_adj", out_adj)
+        put(graph, "in_adj", in_adj)
+        return graph
 
     def has_arc(self, x: int, y: int) -> bool:
         """Whether (x, y) is an arc. Anything that is not an int of
@@ -84,46 +97,56 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
     r^g. So one breadth-first walk of r's orbit serves all of r's graphs:
     it carries the row (r,) + D_b1 + D_b2 + ... along, the row at y = x^s
     being the row at x mapped by s, and graph (r, b)'s out-list at x is
-    its slice of the row at x, sorted. Every out-list is an ascending
-    tuple. When D_b is b's whole orbit, as in a complete bipartite graph,
-    every g maps it onto itself, so each out-list of the graph is the
-    group's cell of that orbit, one tuple and no sort. Otherwise a
-    one-point list is the call's one tuple (p,) for its point,
-    shared by all graphs the call builds, and one itemgetter call per
-    graph gathers those for r's whole orbit; a two-point slice is ordered
-    by one comparison, and only wider slices are sorted. When r's orbit
-    is smaller than n, one itemgetter per tail spreads each graph's lists
-    onto 1..n, a point off the orbit reading (). The rows are as large
-    as r's graphs; they are read in place, never copied, and dropped
-    once those are read. The reverse of (alpha, beta) is the graph whose
-    slice of the row at beta holds alpha, with tail the least point of
-    beta's orbit; its out_adj is (alpha, beta)'s in_adj, the same tuple,
-    so a self-paired graph has in_adj is out_adj.
+    its slice of the row at x, sorted. The walk writes each row into one
+    list, the rows end to end in orbit order, and drops it once it has
+    mapped it on, so the list is the only copy of the rows and entry p of
+    every row is the column list[p::width], one C-level slice. Every
+    out-list is an ascending tuple. When D_b is b's whole orbit, as in a
+    complete bipartite graph, every g maps it onto itself, so each
+    out-list of the graph is the group's cell of that orbit, one tuple
+    and no sort. A one-point graph's lists are one itemgetter over its
+    column into the call's tuples (p,), each shared by all graphs the
+    call builds; a two-point graph orders the pairs of its two columns by
+    one comparison each. Only wider slices are sorted, each row's slice
+    in turn. When r's orbit is smaller than n, one itemgetter per tail
+    spreads each graph's lists onto 1..n, a point off the orbit reading
+    (). The reverse of (alpha, beta) is the graph whose slice of the row
+    at beta holds alpha, with tail the least point of beta's orbit; its
+    out_adj is (alpha, beta)'s in_adj, the same tuple, so a self-paired
+    graph has in_adj is out_adj.
 
     build_orbital_graph serves a single pair: it needs no stabilizer,
     where a stabilizer costs Theta(n^2) on a group like C_n.
     """
     n = group.degree
     orbit_of = group._orbit_of
-    pairs = list(pairs)
-    by_tail: dict[int, list[int]] = {}  # tail -> indices of its pairs
-    by_head: dict[int, list[int]] = {}  # least point of the head's orbit -> indices
+    try:
+        pairs = list(pairs)
+    except TypeError:
+        raise ValueError("pairs must be an iterable of pairs of points") from None
+    by_tail = defaultdict(list)  # tail -> indices of its pairs
+    by_head = defaultdict(list)  # least point of the head's orbit -> indices
     for i, pair in enumerate(pairs):
         try:
             alpha, beta = pair
         except (TypeError, ValueError):
             raise ValueError(f"pairs must hold pairs of points, not {pair!r}") from None
-        check_base_pair(n, alpha, beta)
+        # check_base_pair's test in one expression, which spares most pairs
+        # three calls; on a bad pair it raises, naming what is wrong
+        valid = type(alpha) is type(beta) is int and 0 < alpha <= n and 0 < beta <= n
+        if not valid or alpha == beta:
+            check_base_pair(n, alpha, beta)
         if orbit_of[alpha][0] != alpha:
             raise ValueError(f"tail {alpha} is not the least point of its orbit")
-        by_tail.setdefault(alpha, []).append(i)
-        by_head.setdefault(orbit_of[beta][0], []).append(i)
+        by_tail[alpha].append(i)
+        by_head[orbit_of[beta][0]].append(i)
     not_closed = "pair set is not closed under pairing"
     if not by_head.keys() <= by_tail.keys():
         raise ValueError(not_closed)
     out: list = [None] * len(pairs)
     inn: list = [None] * len(pairs)
     singles = None  # shared by every one-point out-list of the call
+    tables = group._tables
     for r, idx in by_tail.items():
         stab = group.point_stabilizer(r)
         # a row starts with its own point, so it has at least two points
@@ -135,47 +158,56 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
             cat.extend(stab._orbit_of[pairs[i][1]])
         if len(set(cat)) < len(cat):
             raise ValueError(f"two pairs with tail {r} name one orbital")
-        rows = {r: tuple(cat)}
-        walk = [rows[r]]  # grows while it is read
-        for row in walk:
-            get = itemgetter(*row)
-            x = row[0]
-            for t in group._tables:
-                y = t[x]
-                if y not in rows:
-                    rows[y] = get(t)
-                    walk.append(rows[y])
         orbit = orbit_of[r]
-        ordered = list(map(rows.__getitem__, orbit))
+        m = len(orbit)
+        at = dict(zip(orbit, range(m)))  # a point's row number
+        # every row of r's orbit, end to end in orbit order, so that entry p
+        # of each row is the column rows[p::w]; the walk writes a row there
+        # once, maps it on by every generator and drops it, so this list is
+        # the only copy of the rows
+        w = len(cat)
+        rows = [None] * (m * w)
+        walk = deque([tuple(cat)])  # rows not yet mapped on
+        rows[:w] = walk[0]  # r is the least point of its orbit
+        while walk:
+            row = walk.popleft()
+            get = itemgetter(*row)
+            for t in tables:
+                k = at[t[row[0]]] * w
+                if rows[k] is None:
+                    rows[k : k + w] = image = get(t)
+                    walk.append(image)
         # a point off r's orbit is no tail: it reads the () after the lists
-        if len(orbit) < n:
-            at = dict(zip(orbit, range(len(orbit))))
-            spread = itemgetter(*map(at.get, range(1, n + 1), repeat(len(orbit), n)))
-        for i, lo, hi in zip(idx, starts, starts[1:] + [len(cat)]):
+        if m < n:
+            spread = itemgetter(*map(at.get, range(1, n + 1), repeat(m, n)))
+        for i, lo, hi in zip(idx, starts, starts[1:] + [w]):
             cell = orbit_of[pairs[i][1]]
             if hi - lo == len(cell):
                 # D_b is b's whole orbit, which the group maps onto itself
-                lists = (cell,) * len(orbit)
+                lists = (cell,) * m
             elif hi - lo == 1:
                 if singles is None:
                     singles = tuple(zip(range(n + 1)))  # (p,) at index p
                 # r's orbit has two or more points here, since a fixed r has
                 # G_r = G, so itemgetter returns a tuple
-                lists = itemgetter(*map(itemgetter(lo), ordered))(singles)
+                lists = itemgetter(*rows[lo::w])(singles)
             elif hi - lo == 2:
-                column = zip(map(itemgetter(lo), ordered), map(itemgetter(lo + 1), ordered))
+                column = zip(rows[lo::w], rows[lo + 1 :: w])
                 lists = tuple([(a, b) if a < b else (b, a) for a, b in column])
             else:
-                lists = tuple(map(tuple, map(sorted, map(itemgetter(slice(lo, hi)), ordered))))
-            out[i] = lists if len(orbit) == n else spread(lists + ((),))
+                lists = tuple(
+                    [tuple(sorted(rows[k : k + hi - lo])) for k in range(lo, len(rows), w)]
+                )
+            out[i] = lists if m == n else spread(lists + ((),))
         for i in by_head.get(r, ()):
             alpha, beta = pairs[i]
+            k = at[beta] * w  # beta's row
             try:
-                pos = rows[beta].index(alpha)
+                pos = rows.index(alpha, k, k + w) - k
             except ValueError:
                 raise ValueError(not_closed) from None
             inn[i] = out[idx[bisect_right(starts, pos) - 1]]
-    return [OrbitalGraph(n, pair, o, i) for pair, o, i in zip(pairs, out, inn)]
+    return list(map(OrbitalGraph._make, repeat(n), pairs, out, inn))
 
 
 def _pair_orbit_sizes(

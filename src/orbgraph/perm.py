@@ -39,7 +39,10 @@ class Permutation:
     __slots__ = ("degree", "images")
 
     def __init__(self, images):
-        images = tuple(images)
+        try:
+            images = tuple(images)
+        except TypeError:
+            raise ValueError("images must be an iterable of integers") from None
         n = len(images)
         if n < 1:
             raise ValueError("degree must be at least 1")

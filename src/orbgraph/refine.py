@@ -64,6 +64,10 @@ def refine_by_graph(partition: OrderedPartition, graph: OrbitalGraph) -> Refinem
     of cells; its cell order depends only on the graph and the input's
     cell order, never on point labels.
     """
+    if not isinstance(partition, OrderedPartition):
+        raise ValueError(f"partition must be an OrderedPartition, not {type(partition).__name__}")
+    if not isinstance(graph, OrbitalGraph):
+        raise ValueError(f"graph must be an OrbitalGraph, not {type(graph).__name__}")
     if partition.degree != graph.degree:
         raise ValueError("partition and graph degrees differ")
     n = partition.degree

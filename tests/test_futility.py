@@ -23,6 +23,7 @@ from orbgraph.futility import (
     verdict_records,
 )
 from orbgraph.orbital import (
+    OrbitalGraph,
     arc_count_formula,
     build_orbital_graph,
     build_orbital_graphs,
@@ -39,6 +40,7 @@ from support import (
     cyclic_group,
     dihedral_group,
     disjoint_symmetric_groups,
+    exactly,
     find_arc_violation,
     group_from,
     groups_st,
@@ -214,7 +216,9 @@ class TestOracle:
         # a futile bipartite graph is alpha's orbit x beta's orbit, so two
         # points of one orbit cell have equal neighbour lists and the
         # search settles every swap (a, b) from the four lists it compares,
-        # reading no other list and looking up no arc
+        # reading no other list and looking up no arc. A cell of three or
+        # more points has its first point's lists read first, and is
+        # skipped without a read per pair if no point of it has a list
         checked = 0
         for group in corpus_sample:
             for pair in enumerate_base_pairs(group):
@@ -228,15 +232,60 @@ class TestOracle:
                     in_adj=RecordingLists(g.in_adj, "in", reads),
                 )
                 assert is_futile_oracle(counted, group)
-                assert reads == [
-                    (name, p - 1)
-                    for cell in group.orbit_partition().cells
-                    for a, b in pairwise(cell)
-                    for name in ("out", "in")
-                    for p in (a, b)
-                ]
+                expected = []
+                for cell in group.orbit_partition().cells:
+                    first = cell[0] - 1
+                    if len(cell) > 2:
+                        expected += [("out", first)]
+                        if not g.out_adj[first]:
+                            expected += [("in", first)]
+                    if len(cell) < 3 or any(g.out_adj[p - 1] or g.in_adj[p - 1] for p in cell):
+                        expected += [
+                            (name, p - 1)
+                            for a, b in pairwise(cell)
+                            for name in ("out", "in")
+                            for p in (a, b)
+                        ]
+                assert reads == expected
                 checked += 1
         assert checked > 0
+
+
+    def test_search_skips_cells_without_arcs(self):
+        # C_5 x C_5 on 1..5 and 6..10: a graph on 6..10 has no list at
+        # 1..5, so the search reads the first point's two lists there and
+        # walks none of the cell's pairs
+        group = group_from(10, "(1,2,3,4,5)", "(6,7,8,9,10)")
+        g = build_orbital_graph(group, 6, 7)
+        reads = []
+        counted = dataclasses.replace(
+            g,
+            out_adj=RecordingLists(g.out_adj, "out", reads),
+            in_adj=RecordingLists(g.in_adj, "in", reads),
+        )
+        assert futility._witness(counted, group) == ((6, 7), (6, 7))
+        assert reads[:3] == [("out", 0), ("in", 0), ("out", 5)]
+        assert not {index for _, index in reads} & {1, 2, 3, 4}
+
+    @pytest.mark.parametrize(
+        "arcs",
+        [[(3, 4)], [(2, 9)], [(7, 5)], [(4, 5), (5, 4)], [(8, 9), (9, 8)], [(1, 6), (2, 7)]],
+    )
+    def test_cells_with_arcs_off_their_first_point(self, arcs):
+        # no orbital graph has these: an orbit cell whose first point has
+        # no arc but a later point has one. The search must walk the cell,
+        # and its witness is the reference sweep's. The structural test
+        # reads shapes that only orbital graphs have, so it is not asked
+        group = group_from(10, "(1,2,3,4,5)", "(6,7,8,9,10)")
+        out, inn = [[] for _ in range(10)], [[] for _ in range(10)]
+        for x, y in sorted(arcs):
+            out[x - 1].append(y)
+            inn[y - 1].append(x)
+        g = OrbitalGraph(10, arcs[0], tuple(map(tuple, out)), tuple(map(tuple, inn)))
+        gens = partition_stabilizer_generators(group.orbit_partition())
+        perm, arc = find_arc_violation(g, gens)
+        assert futility._witness(g, group) == (perm.cycles()[0], arc)
+        assert not is_futile_oracle(g, group)
 
 
 class EqualityRefused(tuple):
@@ -407,6 +456,23 @@ class TestVerdictRecord:
     def test_unknown_method(self, two_swaps):
         with pytest.raises(ValueError, match="method"):
             verdict_record(two_swaps, 1, 7, "guess")
+
+    def test_methods_that_are_no_iterable(self, two_swaps):
+        # iterating would otherwise raise TypeError
+        message = exactly("methods must be an iterable of method names")
+        with pytest.raises(ValueError, match=message):
+            verdict_records(two_swaps, 1, 7, 5)
+
+    @pytest.mark.parametrize("methods", [["fast"], ["structural"], ["oracle"], list(METHODS)])
+    def test_graph_that_is_no_orbital_graph(self, two_swaps, methods):
+        # reading .degree would otherwise raise AttributeError
+        message = exactly("graph must be an OrbitalGraph, not int")
+        with pytest.raises(ValueError, match=message):
+            verdict_records(two_swaps, 1, 7, methods, 5)
+        with pytest.raises(ValueError, match=message):
+            is_futile_structural(5, two_swaps)
+        with pytest.raises(ValueError, match=message):
+            is_futile_oracle(5, two_swaps)
 
     def test_graph_of_another_pair(self, two_swaps):
         # the graph of (4,2) does not hold (1,2); read as (1,2)'s graph it

@@ -1,5 +1,6 @@
 """Orbital graph construction and the queries on built graphs."""
 
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -270,6 +271,38 @@ class TestBuildMany:
         # each has a tail fixed by the group, whose orbit is a single row
         assert_builders_agree(group)
 
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_every_slice_kind_under_one_tail(self, shuffled):
+        # tail 1 has slices of 4, 1 and 2 points and a 3-point slice
+        # covering the orbit {9, 10, 11}, and its orbit {1..8} is smaller
+        # than n, so its lists are spread onto 1..11
+        group = group_from(11, "(1,5)(2,7,4,3)(6,8)(9,10,11)", "(1,3)(2,6,4,8)(5,7)(9,11)")
+        assert group.order() == 192
+        pairs = enumerate_base_pairs(group)
+        stab = group.point_stabilizer(1)
+        assert [len(stab.orbit(b)) for a, b in pairs if a == 1] == [4, 1, 2, 3]
+        assert group.orbit(1) == tuple(range(1, 9))
+        if shuffled:
+            random.Random(11).shuffle(pairs)
+        graphs = build_orbital_graphs(group, pairs)
+        assert [g.base_pair for g in graphs] == pairs
+        # each graph equals the closure's, and its in_adj is its reverse's out_adj
+        assert_matches_closure(group, graphs)
+        one_point = {}
+        for g in graphs:
+            for heads in g.out_adj:
+                if len(heads) == 1:
+                    assert one_point.setdefault(heads, heads) is heads
+        (single,) = [g for g in graphs if g.base_pair == (1, 5)]
+        assert all(single.out_adj[x - 1] is one_point[(y,)] for x, y in single.arcs)
+        (covering,) = [g for g in graphs if g.base_pair == (1, 9)]
+        assert all(heads is group.orbit(9) for heads in covering.out_adj[:8])
+        assert covering.out_adj[8:] == ((), (), ())
+        for g in graphs:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                g.degree = 12
+            assert repr(g) == repr(build_orbital_graph(group, *g.base_pair))
+
     def test_slice_shapes_on_small_tail_orbits(self):
         # the fixed tails 1 and 7 slice their one row into 3, 2 and 1
         # points, and tail 2's orbit (2,3,4) leaves points with no out-list
@@ -330,6 +363,10 @@ class TestBuildMany:
             message = exactly(f"pairs must hold pairs of points, not {pair!r}")
             with pytest.raises(ValueError, match=message):
                 build_orbital_graphs(two_swaps, [pair])
+        # and list() a TypeError for pairs that are no iterable
+        message = exactly("pairs must be an iterable of pairs of points")
+        with pytest.raises(ValueError, match=message):
+            build_orbital_graphs(two_swaps, 5)
 
 
 def assert_sizes_are_independent(group):

@@ -130,6 +130,11 @@ class TestParseCycles:
 
 
 class TestPermutationArithmetic:
+    def test_images_that_are_no_iterable(self):
+        # tuple() would otherwise raise TypeError
+        with pytest.raises(ValueError, match=exactly("images must be an iterable of integers")):
+            Permutation(5)
+
     def test_apply(self):
         assert parse_cycles("(1,2,4,3)", 4).apply(1) == 2
 

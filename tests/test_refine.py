@@ -16,6 +16,7 @@ from support import (
     cyclic_group,
     dense_refine,
     dihedral_group,
+    exactly,
     individualised,
     wreath_group,
 )
@@ -78,6 +79,19 @@ class TestRefineByGraph:
         assert trace.output_partition == part
         assert trace.rounds == 1
         assert trace.split_count == 0
+
+    def test_arguments_of_the_wrong_type(self, two_swaps):
+        # reading .degree would otherwise raise AttributeError
+        graph = build_orbital_graph(two_swaps, 1, 7)
+        partition = OrderedPartition.unit(7)
+        message = exactly("graph must be an OrbitalGraph, not int")
+        with pytest.raises(ValueError, match=message):
+            refine_by_graph(partition, 5)
+        message = exactly("partition must be an OrderedPartition, not int")
+        with pytest.raises(ValueError, match=message):
+            refine_by_graph(5, graph)
+        with pytest.raises(ValueError, match=message):
+            refine_by_graph(5, 5)
 
     def test_degree_mismatch(self, two_swaps):
         with pytest.raises(ValueError):
