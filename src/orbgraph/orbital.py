@@ -34,18 +34,6 @@ class OrbitalGraph:
     def arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple((x, y) for x, heads in enumerate(self.out_adj, 1) for y in heads)
 
-    @classmethod
-    def _make(cls, degree, base_pair, out_adj, in_adj) -> OrbitalGraph:
-        """The graph __init__ would make, at less cost than the frozen
-        dataclass's __init__, which checks nothing either."""
-        graph = object.__new__(cls)
-        put = object.__setattr__  # the frozen class's own __setattr__ refuses
-        put(graph, "degree", degree)
-        put(graph, "base_pair", base_pair)
-        put(graph, "out_adj", out_adj)
-        put(graph, "in_adj", in_adj)
-        return graph
-
     def has_arc(self, x: int, y: int) -> bool:
         """Whether (x, y) is an arc. Anything that is not an int of
         1..degree, a bool, float or str among them, is no point, so a pair
@@ -97,23 +85,27 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
     r^g. So one breadth-first walk of r's orbit serves all of r's graphs:
     it carries the row (r,) + D_b1 + D_b2 + ... along, the row at y = x^s
     being the row at x mapped by s, and graph (r, b)'s out-list at x is
-    its slice of the row at x, sorted. The walk writes each row into one
-    list, the rows end to end in orbit order, and drops it once it has
-    mapped it on, so the list is the only copy of the rows and entry p of
-    every row is the column list[p::width], one C-level slice. Every
-    out-list is an ascending tuple. When D_b is b's whole orbit, as in a
-    complete bipartite graph, every g maps it onto itself, so each
-    out-list of the graph is the group's cell of that orbit, one tuple
-    and no sort. A one-point graph's lists are one itemgetter over its
+    its slice of the row at x, sorted. Every out-list is an ascending
+    tuple. When D_b is b's whole orbit, as in a complete bipartite graph,
+    every g maps it onto itself, so each out-list of the graph is the
+    group's cell of that orbit, one tuple and no sort, and the walk does
+    not carry that slice. The walk writes each row into one list of the
+    rows' columns, laid end to end, and drops it once it has mapped it
+    on, so the list is the only copy of the rows and each column is one
+    C-level slice. A one-point graph's lists are one itemgetter over its
     column into the call's tuples (p,), each shared by all graphs the
     call builds; a two-point graph orders the pairs of its two columns by
     one comparison each. Only wider slices are sorted, each row's slice
-    in turn. When r's orbit is smaller than n, one itemgetter per tail
-    spreads each graph's lists onto 1..n, a point off the orbit reading
-    (). The reverse of (alpha, beta) is the graph whose slice of the row
-    at beta holds alpha, with tail the least point of beta's orbit; its
-    out_adj is (alpha, beta)'s in_adj, the same tuple, so a self-paired
-    graph has in_adj is out_adj.
+    in turn. The graphs are made last slice first, and each one's columns
+    are cut off the end of the list once read, so the list shrinks as the
+    graphs grow. When r's orbit is smaller than n, one itemgetter per
+    tail spreads each graph's lists onto 1..n, a point off the orbit
+    reading (). The reverse of (alpha, beta) is the graph whose slice of
+    the row at beta holds alpha, with tail the least point of beta's
+    orbit, or the covering graph of alpha's orbit when no walked slice
+    does. A graph is the reverse of its reverse, so one lookup serves
+    both. The reverse's out_adj is (alpha, beta)'s in_adj, the same
+    tuple, so a self-paired graph has in_adj is out_adj.
 
     build_orbital_graph serves a single pair: it needs no stabilizer,
     where a stabilizer costs Theta(n^2) on a group like C_n.
@@ -131,11 +123,7 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
             alpha, beta = pair
         except (TypeError, ValueError):
             raise ValueError(f"pairs must hold pairs of points, not {pair!r}") from None
-        # check_base_pair's test in one expression, which spares most pairs
-        # three calls; on a bad pair it raises, naming what is wrong
-        valid = type(alpha) is type(beta) is int and 0 < alpha <= n and 0 < beta <= n
-        if not valid or alpha == beta:
-            check_base_pair(n, alpha, beta)
+        check_base_pair(n, alpha, beta)
         if orbit_of[alpha][0] != alpha:
             raise ValueError(f"tail {alpha} is not the least point of its orbit")
         by_tail[alpha].append(i)
@@ -144,70 +132,88 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
     if not by_head.keys() <= by_tail.keys():
         raise ValueError(not_closed)
     out: list = [None] * len(pairs)
-    inn: list = [None] * len(pairs)
+    reverse: list = [None] * len(pairs)  # index of each pair's reverse
     singles = None  # shared by every one-point out-list of the call
     tables = group._tables
     for r, idx in by_tail.items():
         stab = group.point_stabilizer(r)
-        # a row starts with its own point, so it has at least two points
-        # and itemgetter over it returns a tuple, never a scalar
-        cat = [r]
-        starts = []
-        for i in idx:
-            starts.append(len(cat))
-            cat.extend(stab._orbit_of[pairs[i][1]])
-        if len(set(cat)) < len(cat):
-            raise ValueError(f"two pairs with tail {r} name one orbital")
         orbit = orbit_of[r]
         m = len(orbit)
         at = dict(zip(orbit, range(m)))  # a point's row number
-        # every row of r's orbit, end to end in orbit order, so that entry p
-        # of each row is the column rows[p::w]; the walk writes a row there
-        # once, maps it on by every generator and drops it, so this list is
-        # the only copy of the rows
-        w = len(cat)
-        rows = [None] * (m * w)
-        walk = deque([tuple(cat)])  # rows not yet mapped on
-        rows[:w] = walk[0]  # r is the least point of its orbit
+        # a point off r's orbit is no tail: it reads the () after the lists
+        if m < n:
+            spread = itemgetter(*map(at.get, range(1, n + 1), repeat(m, n)))
+        # D_b is b's whole orbit, as in a complete bipartite graph, exactly
+        # when it has as many points; every g maps it onto itself, so each
+        # of the graph's lists is that cell, and the walk need not carry it
+        walked, covering = [], {}  # covering: least point of the cell -> pair
+        cat = [r]
+        starts = []
+        for i in idx:
+            beta = pairs[i][1]
+            cell, slice_ = orbit_of[beta], stab._orbit_of[beta]
+            if len(slice_) < len(cell):
+                walked.append(i)
+                starts.append(len(cat))
+                cat.extend(slice_)
+            elif cell[0] in covering:
+                raise ValueError(f"two pairs with tail {r} name one orbital")
+            else:
+                covering[cell[0]] = i
+                lists = (cell,) * m
+                out[i] = lists if m == n else spread(lists + ((),))
+        if len(set(cat)) < len(cat):
+            raise ValueError(f"two pairs with tail {r} name one orbital")
+        # the rows' columns end to end, entry p of every row being the
+        # column cols[p * m : (p + 1) * m]; the walk writes each row there
+        # once, as cols[k::m], maps it on by every generator and drops it,
+        # so this list is the only copy of the rows. A walked row has two
+        # or more points, so itemgetter over it returns a tuple.
+        cols = [None] * (m * len(cat))
+        cols[::m] = cat  # row 0, as r is the least point of its orbit
+        walk = deque([tuple(cat)] if walked else ())  # rows not yet mapped on
         while walk:
             row = walk.popleft()
             get = itemgetter(*row)
             for t in tables:
-                k = at[t[row[0]]] * w
-                if rows[k] is None:
-                    rows[k : k + w] = image = get(t)
+                k = at[t[row[0]]]
+                if cols[k] is None:
+                    cols[k::m] = image = get(t)
                     walk.append(image)
-        # a point off r's orbit is no tail: it reads the () after the lists
-        if m < n:
-            spread = itemgetter(*map(at.get, range(1, n + 1), repeat(m, n)))
-        for i, lo, hi in zip(idx, starts, starts[1:] + [w]):
-            cell = orbit_of[pairs[i][1]]
-            if hi - lo == len(cell):
-                # D_b is b's whole orbit, which the group maps onto itself
-                lists = (cell,) * m
-            elif hi - lo == 1:
+        for i in by_head.get(r, ()):
+            if reverse[i] is not None:
+                continue  # found as the reverse of its own reverse
+            alpha, beta = pairs[i]
+            try:
+                pos = cols[at[beta] :: m].index(alpha)  # in beta's row
+                k = walked[bisect_right(starts, pos) - 1]
+            except ValueError:
+                # off the walked slices, alpha's orbit must be a covering one
+                if orbit_of[alpha][0] not in covering:
+                    raise ValueError(not_closed) from None
+                k = covering[orbit_of[alpha][0]]
+            reverse[i] = k
+            reverse[k] = i
+        # the last slice first, so that each graph's columns are dropped
+        # from the end of cols once it has read them
+        ends = starts[1:] + [len(cat)]
+        for i, lo, hi in zip(reversed(walked), reversed(starts), reversed(ends)):
+            if hi - lo == 1:
                 if singles is None:
                     singles = tuple(zip(range(n + 1)))  # (p,) at index p
                 # r's orbit has two or more points here, since a fixed r has
                 # G_r = G, so itemgetter returns a tuple
-                lists = itemgetter(*rows[lo::w])(singles)
+                lists = itemgetter(*cols[lo * m :])(singles)
             elif hi - lo == 2:
-                column = zip(rows[lo::w], rows[lo + 1 :: w])
+                column = zip(cols[lo * m : hi * m - m], cols[hi * m - m :])
                 lists = tuple([(a, b) if a < b else (b, a) for a, b in column])
             else:
-                lists = tuple(
-                    [tuple(sorted(rows[k : k + hi - lo])) for k in range(lo, len(rows), w)]
-                )
+                block = cols[lo * m :]
+                lists = tuple([tuple(sorted(block[k::m])) for k in range(m)])
             out[i] = lists if m == n else spread(lists + ((),))
-        for i in by_head.get(r, ()):
-            alpha, beta = pairs[i]
-            k = at[beta] * w  # beta's row
-            try:
-                pos = rows.index(alpha, k, k + w) - k
-            except ValueError:
-                raise ValueError(not_closed) from None
-            inn[i] = out[idx[bisect_right(starts, pos) - 1]]
-    return list(map(OrbitalGraph._make, repeat(n), pairs, out, inn))
+            del cols[lo * m :]
+    inn = map(out.__getitem__, reverse)
+    return list(map(OrbitalGraph, repeat(n), pairs, out, inn))
 
 
 def _pair_orbit_sizes(

@@ -339,6 +339,12 @@ class TestBuildMany:
         # the reverse of (1, 2) would have its tail at 2, which has no pair
         with pytest.raises(ValueError, match="not closed under pairing"):
             build_orbital_graphs(two_swaps, [(1, 2)])
+        # the reverse of (1, 3), whose out-lists are all of {3, 4}, is the
+        # complete bipartite graph of (3, 1), not the one-point graph of (3, 4)
+        swaps = group_from(4, "(1,2)", "(3,4)")
+        with pytest.raises(ValueError, match="not closed under pairing"):
+            build_orbital_graphs(swaps, [(1, 3), (3, 4)])
+        assert_matches_closure(swaps, build_orbital_graphs(swaps, [(1, 3), (3, 4), (3, 1)]))
 
     def test_tail_not_least_in_its_orbit(self):
         with pytest.raises(ValueError, match="tail 2 is not the least point"):
@@ -351,6 +357,10 @@ class TestBuildMany:
             build_orbital_graphs(d5, [(1, 2), (1, 5)])
         with pytest.raises(ValueError, match="name one orbital"):
             build_orbital_graphs(d5, [(1, 2), (1, 3), (1, 2)])
+        # two complete bipartite graphs: the stabilizer of 1 swaps 3 and 4
+        swaps = group_from(4, "(1,2)", "(3,4)")
+        with pytest.raises(ValueError, match="name one orbital"):
+            build_orbital_graphs(swaps, [(1, 3), (1, 4), (3, 1)])
 
     def test_pair_validation(self, two_swaps):
         with pytest.raises(ValueError, match="distinct"):
