@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .futility import METHODS, _pair_records, verdict_records
+from .futility import METHODS, _checked_pair, _pair_verdicts, _verdicts_json
 from .orbital import (
     _sized_base_pairs,
     build_orbital_graph,
@@ -99,11 +99,12 @@ def _cmd_futility(args) -> int:
     # fast-only JSON run goes without it
     build = not args.json or any(m != "fast" for m in methods)
     if args.pair is not None:
-        # one pair is closed under the generators; verdict_records checks
-        # the pair and reads its orbit sizes
+        # one pair is closed under the generators; verdict_records' helper
+        # checks the pair and the graph and reads the pair's orbit sizes
         pairs = [args.pair]
-        graphs = [build_orbital_graph(group, *args.pair) if build else None]
-        records_of = [verdict_records(group, *args.pair, methods, graphs[0])]
+        graph = build_orbital_graph(group, *args.pair) if build else None
+        graph, sizes = _checked_pair(group, *args.pair, methods, graph)
+        graphs, sizes_of = [graph], [sizes]
     else:
         # a whole enumeration is built from its stabilizers, and each pair
         # takes its orbit sizes from the cells the enumeration walks; the
@@ -111,27 +112,22 @@ def _cmd_futility(args) -> int:
         sized = list(_sized_base_pairs(group))
         pairs = [pair for pair, _ in sized]
         graphs = build_orbital_graphs(group, pairs) if build else [None] * len(pairs)
-        records_of = (
-            _pair_records(group, *pair, methods, graph, sizes)
-            for (pair, sizes), graph in zip(sized, graphs)
-        )
+        sizes_of = [sizes for _, sizes in sized]
 
     rows = []
-    for (alpha, beta), graph, records in zip(pairs, graphs, records_of):
-        verdicts = {r["futile"] for r in records}
-        if len(verdicts) > 1:
-            detail = ", ".join(f"{r['method']}={r['futile']}" for r in records)
+    for (alpha, beta), graph, sizes in zip(pairs, graphs, sizes_of):
+        verdicts = _pair_verdicts(group, methods, graph, sizes)
+        if len({futile for _, futile, *_ in verdicts}) > 1:
+            detail = ", ".join(f"{method}={futile}" for method, futile, *_ in verdicts)
             print(
                 f"verdict disagreement for pair ({alpha},{beta}): {detail}",
                 file=sys.stderr,
             )
             return 3
-        rows.append(((alpha, beta), records, graph))
+        rows.append(verdicts)
 
     if args.json:
-        # the library built these records and none contains itself, so
-        # json need not check for cycles
-        print(json.dumps([r for _, records, _ in rows for r in records], check_circular=False))
+        print(_verdicts_json(pairs, sizes_of, rows))
         return 0
 
     print(
@@ -140,30 +136,29 @@ def _cmd_futility(args) -> int:
     )
     print("orbit partition " + str(group.orbit_partition()))
     if args.pair is not None:
-        (alpha, beta), records, graph = rows[0]
+        (alpha, beta), verdicts, graph = pairs[0], rows[0], graphs[0]
         paired = "yes" if is_self_paired(graph) else "no"
         extra = f", self-paired {paired}, components {_component_sizes(graph)}"
-        print(f"pair ({alpha},{beta}): {records[0]['arc_count']} arcs{extra}")
-        for r in records:
-            line = f"  {r['method'] + ':':<12} {'futile, ' + r['shape'] if r['futile'] else 'not futile'}"
-            if r["witness"] is not None:
-                w = r["witness"]
-                x, y = w["violated_arc"]
-                line += f"  (witness {w['permutation_cycles']} moves arc ({x},{y}) off the graph)"
+        print(f"pair ({alpha},{beta}): {verdicts[0][4]} arcs{extra}")
+        for method, futile, shape, witness, _ in verdicts:
+            line = f"  {method + ':':<12} {'futile, ' + shape if futile else 'not futile'}"
+            if witness is not None:
+                (a, b), (x, y) = witness
+                line += f"  (witness ({a},{b}) moves arc ({x},{y}) off the graph)"
             print(line)
     else:
         print(
             f"{'pair':<8}{'arcs':>6}  {'futile':<8}{'paired':<8}"
             f"{'shape':<20}components"
         )
-        for (alpha, beta), records, graph in rows:
-            r = records[0]
+        for (alpha, beta), graph, verdicts in zip(pairs, graphs, rows):
+            _, futile, shape, _, arc_count = verdicts[0]
             paired = "yes" if is_self_paired(graph) else "no"
-            verdict = "yes" if r["futile"] else "no"
+            verdict = "yes" if futile else "no"
             print(
                 f"({alpha},{beta})".ljust(8)
-                + f"{r['arc_count']:>6}  "
-                + f"{verdict:<8}{paired:<8}{r['shape']:<20}"
+                + f"{arc_count:>6}  "
+                + f"{verdict:<8}{paired:<8}{shape:<20}"
                 + _component_sizes(graph)
             )
     return 0

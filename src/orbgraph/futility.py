@@ -3,11 +3,12 @@
 A graph is futile when the stabilizer of the group's ordered orbit
 partition, the direct product of full symmetric groups on the orbits,
 already acts on it by graph automorphisms. Such a graph can never split an
-orbit cell, so a refiner gains nothing by building it. Futility happens
-exactly when the arc set is the complete digraph on its tails, or is tails
-x heads with the two disjoint. The three tests here decide that from the
-orbit sizes of the base pair, from the built graph's tails and heads, and
-from the definition directly.
+orbit cell, so a refiner gains nothing by building it. An orbital graph's
+tails fill one orbit and its heads fill one orbit, so it is futile exactly
+when its arc set is the complete digraph on its tails, or is tails x heads
+with the two disjoint. The three tests here decide that from the orbit
+sizes of the base pair, from the built graph's tails and heads, and from
+the definition directly.
 """
 
 from __future__ import annotations
@@ -127,16 +128,20 @@ def _fast(sizes) -> bool:
 def is_futile_structural(graph: OrbitalGraph, group: PermGroup) -> FutilityVerdict:
     """Classify the built graph from its arc tails and heads.
 
-    Arcs are never loops, so the graph is the complete digraph on one
-    component exactly when tails equal heads and it has |tails|(|tails|-1)
+    Arcs are never loops, so the graph is the complete digraph on its
+    tails exactly when tails equal heads and it has |tails|(|tails|-1)
     arcs, and complete bipartite from the tails to disjoint heads exactly
-    when it has |tails||heads| arcs; the component is the union of the two
+    when it has |tails||heads| arcs. Either is futile when the tails, and
+    for the bipartite shape the heads too, are unions of whole orbits, as
+    an orbital graph's always are; the component is the union of the two
     sets. Non-futile verdicts carry the oracle's witness: the first
     adjacent transposition of an orbit cell that breaks the graph, with
-    the least arc it moves off the arc set.
+    the least arc it moves off the arc set. A futile graph of any other
+    shape, such as O1 x O2 with O2 x O1 for orbits O1 and O2, which no
+    base pair builds, has no witness, and raises RuntimeError.
     """
     _check_graph(graph, group)
-    shape, tails, heads = _shape(graph, sum(map(len, graph.out_adj)))
+    shape, tails, heads = _shape(graph, group, sum(map(len, graph.out_adj)))
     if shape == SHAPE_COMPLETE:
         return FutilityVerdict(True, shape, tuple(tails), None)
     if shape == SHAPE_BIPARTITE:
@@ -147,19 +152,34 @@ def is_futile_structural(graph: OrbitalGraph, group: PermGroup) -> FutilityVerdi
     return FutilityVerdict(False, shape, None, (Permutation._unchecked(tuple(images)), arc))
 
 
-def _shape(graph: OrbitalGraph, count: int):
+def _shape(graph: OrbitalGraph, group: PermGroup, count: int):
     """The structural test's shape of a graph with count arcs, with the
     graph's tails and heads when it is futile. The tails and heads are the
     points with a non-empty out- or in-list, each listed by one C-level
-    pass."""
+    pass. Once the arc count fits a shape, the tails, and for the
+    bipartite shape the heads, must be unions of whole orbits; an arc-free
+    graph is the complete digraph on no points."""
     points = range(1, graph.degree + 1)
     tails = list(compress(points, graph.out_adj))
     heads = list(compress(points, graph.in_adj))
     if tails == heads and count == len(tails) * (len(tails) - 1):
-        return SHAPE_COMPLETE, tails, heads
-    if count == len(tails) * len(heads) and set(tails).isdisjoint(heads):
-        return SHAPE_BIPARTITE, tails, heads
+        if _whole_orbits(group, tails):
+            return SHAPE_COMPLETE, tails, heads
+    elif count == len(tails) * len(heads) and set(tails).isdisjoint(heads):
+        if _whole_orbits(group, tails) and _whole_orbits(group, heads):
+            return SHAPE_BIPARTITE, tails, heads
     return SHAPE_NONE, None, None
+
+
+def _whole_orbits(group: PermGroup, points) -> bool:
+    """Whether the ascending points are a union of whole orbits: none, or
+    one orbit, as an orbital graph's tails and heads are, or else orbits
+    that, one tuple each, hold no more points than they do."""
+    orbit_of = group._orbit_of
+    if not points or orbit_of[points[0]] == tuple(points):
+        return True
+    cells = list(map(orbit_of.__getitem__, points))
+    return sum(dict(zip(map(id, cells), map(len, cells))).values()) == len(points)
 
 
 def is_futile_oracle(graph: OrbitalGraph, group: PermGroup) -> bool:
@@ -196,13 +216,14 @@ def arc_count_bounds(group: PermGroup, alpha: int, beta: int) -> ArcCountBounds:
     non-futile graph has at most min(n(m - 1), m(n - 1)) arcs. A futile
     graph has n(n - 1) or n*m arcs, more than either threshold.
     """
-    return _bounds(_pair_orbit_sizes(group, alpha, beta))
+    return ArcCountBounds(*_bounds(_pair_orbit_sizes(group, alpha, beta)))
 
 
-def _bounds(sizes) -> ArcCountBounds:
+def _bounds(sizes) -> tuple[int, bool]:
+    """arc_count_bounds' threshold and whether the arc count exceeds it."""
     n, k, m, same_orbit = sizes
     threshold = n * (n - 2) if same_orbit else min(n * (m - 1), m * (n - 1))
-    return ArcCountBounds(threshold, n * k > threshold)
+    return threshold, n * k > threshold
 
 
 def transitive_group_futility(group: PermGroup) -> bool:
@@ -241,9 +262,18 @@ def verdict_records(group, alpha, beta, methods, graph=None) -> list[dict]:
     a bad pair or method. The pair is checked once, by the closure when it
     builds the graph.
 
-    The records of one call share one thresholds dict; every other value
-    in them is a record's own.
+    The records are the dicts of the verdict tuples that the CLI prints
+    directly. The records of one call share one thresholds dict; every
+    other value in them is a record's own.
     """
+    graph, sizes = _checked_pair(group, alpha, beta, methods, graph)
+    return _pair_records(group, alpha, beta, methods, graph, sizes)
+
+
+def _checked_pair(group, alpha, beta, methods, graph):
+    """Check the methods, the pair and a given graph as verdict_records
+    does, and return the graph the methods read, built by closure when
+    one is needed and none is given, with the pair's orbit sizes."""
     try:
         unknown = [m for m in methods if m not in METHODS]
     except TypeError:
@@ -259,55 +289,88 @@ def verdict_records(group, alpha, beta, methods, graph=None) -> list[dict]:
             if not graph.has_arc(alpha, beta):
                 raise ValueError(f"base pair ({alpha},{beta}) is not an arc of the graph")
     k = None if graph is None or "fast" in methods else len(graph.out_adj[alpha - 1])
-    return _pair_records(group, alpha, beta, methods, graph, _orbit_sizes(group, alpha, beta, k))
+    return graph, _orbit_sizes(group, alpha, beta, k)
 
 
 def _pair_records(group, alpha, beta, methods, graph, sizes) -> list[dict]:
     """verdict_records on a pair, its graph and its orbit sizes, none of
-    which is checked: verdict_records has checked them, or the library
-    made them. The graph may be None for the fast method alone.
-
-    The graph's arcs are counted once. A witness swaps the adjacent points
-    (a, b) of a cell, so its cycles read "(a,b)"; the search and this text
-    are made once and serve both the structural and the oracle record. A
+    which is checked: the dicts of _pair_verdicts' tuples. A witness swaps
+    the adjacent points (a, b) of a cell, so its cycles read "(a,b)". A
     pair's records share one thresholds dict.
     """
-    n, k, _, same_orbit = sizes
-    bounds = _bounds(sizes)
-    thresholds = {"threshold": bounds.threshold, "exceeds": bounds.exceeds}
-    arcs = None if graph is None else sum(map(len, graph.out_adj))
-    records, found = [], None
-    for method in methods:
-        witness, shape = None, SHAPE_NONE
-        if method == "fast":
-            futile = _fast(sizes)
-        elif method == "structural":
-            shape = _shape(graph, arcs)[0]
-            futile = shape != SHAPE_NONE
-            if not futile:
-                witness = found = _witness_text(_required_witness(graph, group))
-        else:
-            witness = found or _witness_text(_witness(graph, group))
-            futile = witness is None
-        if futile and method != "structural":
-            shape = SHAPE_COMPLETE if same_orbit else SHAPE_BIPARTITE
+    threshold, exceeds = _bounds(sizes)
+    thresholds = {"threshold": threshold, "exceeds": exceeds}
+    records = []
+    for method, futile, shape, witness, arc_count in _pair_verdicts(group, methods, graph, sizes):
+        if witness is not None:
+            (a, b), arc = witness
+            witness = {"permutation_cycles": f"({a},{b})", "violated_arc": list(arc)}
         records.append({
             "base_pair": [alpha, beta],
             "futile": futile,
             "shape": shape,
             "method": method,
-            "witness": None
-            if witness is None
-            else {"permutation_cycles": witness[0], "violated_arc": list(witness[1])},
-            "arc_count": n * k if method == "fast" else arcs,
+            "witness": witness,
+            "arc_count": arc_count,
             "thresholds": thresholds,
         })
     return records
 
 
-def _witness_text(witness):
-    """A witness ((a, b), arc) as its cycles' text and its arc."""
-    if witness is None:
-        return None
-    (a, b), arc = witness
-    return f"({a},{b})", arc
+# one verdict record as json.dumps writes its dict from _pair_records:
+# every string in it is a fixed ASCII name or a witness's "(a,b)"
+_RECORD = (
+    '{"base_pair": [%d, %d], "futile": %s, "shape": "%s", "method": "%s", '
+    '"witness": %s, "arc_count": %d, "thresholds": {"threshold": %d, "exceeds": %s}}'
+)
+_WITNESS = '{"permutation_cycles": "(%d,%d)", "violated_arc": [%d, %d]}'
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def _verdicts_json(pairs, sizes_of, verdicts_of) -> str:
+    """json.dumps of the records _pair_records makes of each pair's
+    verdicts, in order, written byte for byte with one template per
+    record and no dict."""
+    parts = []
+    for (alpha, beta), sizes, verdicts in zip(pairs, sizes_of, verdicts_of):
+        threshold, exceeds = _bounds(sizes)
+        exceeds = _JSON_BOOL[exceeds]
+        for method, futile, shape, witness, arc_count in verdicts:
+            if witness is not None:
+                (a, b), (x, y) = witness
+                witness = _WITNESS % (a, b, x, y)
+            parts.append(_RECORD % (
+                alpha, beta, _JSON_BOOL[futile], shape, method,
+                witness or "null", arc_count, threshold, exceeds,
+            ))
+    return "[" + ", ".join(parts) + "]"
+
+
+def _pair_verdicts(group, methods, graph, sizes) -> list[tuple]:
+    """Each method's verdict on a pair's graph and orbit sizes, none of
+    which is checked, as (method, futile, shape, witness, arc_count): a
+    witness is ((a, b), arc), as _witness finds it, or None. The graph may
+    be None for the fast method alone.
+
+    The graph's arcs are counted once. The witness search is made once
+    and serves both the structural and the oracle verdict.
+    """
+    n, k, _, same_orbit = sizes
+    arcs = None if graph is None else sum(map(len, graph.out_adj))
+    verdicts, found = [], None
+    for method in methods:
+        witness, shape = None, SHAPE_NONE
+        if method == "fast":
+            futile = _fast(sizes)
+        elif method == "structural":
+            shape = _shape(graph, group, arcs)[0]
+            futile = shape != SHAPE_NONE
+            if not futile:
+                witness = found = _required_witness(graph, group)
+        else:
+            witness = found or _witness(graph, group)
+            futile = witness is None
+        if futile and method != "structural":
+            shape = SHAPE_COMPLETE if same_orbit else SHAPE_BIPARTITE
+        verdicts.append((method, futile, shape, witness, n * k if method == "fast" else arcs))
+    return verdicts

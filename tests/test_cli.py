@@ -314,7 +314,7 @@ class TestBuilders:
         monkeypatch.setattr("orbgraph.orbital._pair_orbit_sizes", no_check)
         monkeypatch.setattr("orbgraph.futility._pair_orbit_sizes", no_check)
         monkeypatch.setattr("orbgraph.futility.check_base_pair", no_check)
-        monkeypatch.setattr("orbgraph.cli.verdict_records", no_check)
+        monkeypatch.setattr("orbgraph.cli._checked_pair", no_check)
         if not table:
             monkeypatch.setattr(OrbitalGraph, "has_arc", no_check)
         assert _stdout(argv) == expected
@@ -356,6 +356,41 @@ def test_all_pairs_records_are_the_pairs_verdict_records(corpus_sample):
                     witnessed += 1
             swept += 1
     assert swept > 2000 and witnessed > 1000
+
+
+@pytest.mark.parametrize("method", [*METHODS, "all"])
+def test_json_is_json_dumps_of_the_records(corpus_sample, method):
+    # the CLI writes each record from one template; byte for byte that is
+    # json.dumps of the pairs' verdict_records, fast-only runs included,
+    # which build no graph
+    families = [param.values[0](*param.values[1]) for param in FORMULA_FAMILIES]
+    methods = list(METHODS) if method == "all" else [method]
+    for group in [*corpus_sample, *families, *_seeded_groups()]:
+        records = []
+        for alpha, beta in enumerate_base_pairs(group):
+            records += verdict_records(group, alpha, beta, methods)
+        argv = ["futility", _group_text(group), "--method", method, "--json"]
+        assert _stdout(argv) == json.dumps(records) + "\n"
+
+
+def test_pair_json_is_json_dumps_of_the_records(corpus_sample):
+    # a futile pair and a witnessed one of each group, under each method
+    shown = set()
+    for group in corpus_sample[:30]:
+        text = _group_text(group)
+        kinds = {}
+        for alpha, beta in enumerate_base_pairs(group):
+            futile = verdict_records(group, alpha, beta, ["fast"])[0]["futile"]
+            kinds.setdefault(futile, (alpha, beta))
+        for futile, (alpha, beta) in kinds.items():
+            for method in [*METHODS, "all"]:
+                methods = list(METHODS) if method == "all" else [method]
+                argv = ["futility", text, "--pair", f"{alpha},{beta}", "--method", method]
+                argv.append("--json")
+                expected = json.dumps(verdict_records(group, alpha, beta, methods))
+                assert _stdout(argv) == expected + "\n"
+            shown.add(futile)
+    assert shown == {False, True}
 
 
 class TestRefine:
@@ -467,6 +502,23 @@ class TestExitCodes:
         real = futility._fast
         monkeypatch.setattr("orbgraph.futility._fast", lambda sizes: not real(sizes))
         assert run(["futility", TWO_TRIANGLES, "--method", "all", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "verdict disagreement for pair (1,2): fast=True, structural=False, oracle=False\n"
+        )
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--pair", "1,2", "--json"], ["--pair", "1,2"]],
+        ids=["table", "pair-json", "pair-table"],
+    )
+    def test_verdict_disagreement_exits_3_in_every_mode(self, capsys, monkeypatch, extra):
+        # the verdicts are checked before anything is printed, by the one
+        # path of all pairs and of --pair, as a table or as JSON
+        real = futility._fast
+        monkeypatch.setattr("orbgraph.futility._fast", lambda sizes: not real(sizes))
+        assert run(["futility", TWO_TRIANGLES, *extra]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (

@@ -14,6 +14,7 @@ from orbgraph.futility import (
     SHAPE_BIPARTITE,
     SHAPE_COMPLETE,
     SHAPE_NONE,
+    FutilityVerdict,
     arc_count_bounds,
     is_futile_fast,
     is_futile_oracle,
@@ -274,18 +275,87 @@ class TestOracle:
     def test_cells_with_arcs_off_their_first_point(self, arcs):
         # no orbital graph has these: an orbit cell whose first point has
         # no arc but a later point has one. The search must walk the cell,
-        # and its witness is the reference sweep's. The structural test
-        # reads shapes that only orbital graphs have, so it is not asked
+        # and its witness is the reference sweep's, which the structural
+        # test also gives
         group = group_from(10, "(1,2,3,4,5)", "(6,7,8,9,10)")
-        out, inn = [[] for _ in range(10)], [[] for _ in range(10)]
-        for x, y in sorted(arcs):
-            out[x - 1].append(y)
-            inn[y - 1].append(x)
-        g = OrbitalGraph(10, arcs[0], tuple(map(tuple, out)), tuple(map(tuple, inn)))
+        g = graph_of_arcs(10, arcs)
         gens = partition_stabilizer_generators(group.orbit_partition())
         perm, arc = find_arc_violation(g, gens)
         assert futility._witness(g, group) == (perm.cycles()[0], arc)
         assert not is_futile_oracle(g, group)
+        verdict = FutilityVerdict(False, SHAPE_NONE, None, (perm, arc))
+        assert is_futile_structural(g, group) == verdict
+
+
+def graph_of_arcs(degree, arcs) -> OrbitalGraph:
+    """A graph built by hand from its arcs, with the least as base pair."""
+    out, inn = [[] for _ in range(degree)], [[] for _ in range(degree)]
+    for x, y in sorted(arcs):
+        out[x - 1].append(y)
+        inn[y - 1].append(x)
+    return OrbitalGraph(degree, min(arcs), tuple(map(tuple, out)), tuple(map(tuple, inn)))
+
+
+class TestHandBuiltShapes:
+    """Graphs no base pair builds: the structural test calls a shape
+    futile only when its tails, and heads, are unions of whole orbits,
+    so it agrees with the oracle."""
+
+    def test_single_arc_inside_an_orbit(self):
+        # tails {3} and heads {4} are disjoint, with |tails||heads| arcs,
+        # but lie inside the orbit 1..5, whose swap (2,3) moves the arc
+        group = group_from(10, "(1,2,3,4,5)", "(6,7,8,9,10)")
+        g = graph_of_arcs(10, [(3, 4)])
+        v = is_futile_structural(g, group)
+        assert not v.futile and v.shape == SHAPE_NONE
+        assert (v.witness[0].cycle_string(), v.witness[1]) == ("(2,3)", (3, 4))
+        assert not is_futile_oracle(g, group)
+        records = verdict_records(group, 3, 4, METHODS, g)
+        assert [r["futile"] for r in records] == [False] * len(METHODS)
+
+    def test_arcs_in_one_orbit_block(self):
+        # seeded subsets of one block O1 x O2 (O1 = O2 allowed, loops
+        # left out), the whole block among them
+        rng = random.Random(20261020)
+        checked = futile = 0
+        for _ in range(60):
+            group = block_preserving_group(rng, rng.randint(4, 14), rng.randint(1, 2), 3)
+            cells = group.orbit_partition().cells
+            o1, o2 = rng.choice(cells), rng.choice(cells)
+            block = [(x, y) for x in o1 for y in o2 if x != y]
+            if not block:
+                continue
+            for arcs in (block, rng.sample(block, rng.randint(1, len(block)))):
+                g = graph_of_arcs(group.degree, arcs)
+                verdict = is_futile_structural(g, group).futile
+                assert verdict == is_futile_oracle(g, group) == (len(arcs) == len(block))
+                checked += 1
+                futile += verdict
+        assert checked > 80 and 0 < futile < checked
+
+    @pytest.mark.parametrize(
+        "arcs,shape",
+        [
+            # the complete digraph on two orbits
+            ([(x, y) for x in range(1, 6) for y in range(1, 6) if x != y], SHAPE_COMPLETE),
+            # two orbits to a third
+            ([(x, y) for x in (1, 2, 3, 4, 5) for y in (6, 7, 8)], SHAPE_BIPARTITE),
+            # a third to two orbits
+            ([(x, y) for x in (6, 7, 8) for y in (1, 2, 3, 4, 5)], SHAPE_BIPARTITE),
+        ],
+    )
+    def test_unions_of_whole_orbits(self, arcs, shape):
+        group = group_from(8, "(1,2)", "(3,4,5)", "(6,7,8)")
+        g = graph_of_arcs(8, arcs)
+        v = is_futile_structural(g, group)
+        assert v.futile and v.shape == shape
+        assert is_futile_oracle(g, group)
+
+    def test_arc_free_graph_is_complete_on_no_points(self):
+        group = group_from(4, "(1,2)")
+        g = OrbitalGraph(4, (1, 2), ((),) * 4, ((),) * 4)
+        assert is_futile_structural(g, group) == FutilityVerdict(True, SHAPE_COMPLETE, (), None)
+        assert is_futile_oracle(g, group)
 
 
 class EqualityRefused(tuple):
