@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, pairwise
-from operator import itemgetter
 
 from .orbital import (
     OrbitalGraph,
@@ -53,21 +52,10 @@ def _witness(graph: OrbitalGraph, group: PermGroup):
     These transpositions generate the orbit-partition stabilizer, and one
     fixes every arc that avoids a and b, so only the arcs at a or b are
     read. When a and b have equal neighbour lists they are not neighbours,
-    since arcs are never loops, and the swap fixes the graph. So a cell
-    whose points all have empty lists holds no witness. A cell of three or
-    more points whose first point has no list is tested for that by one
-    C-level itemgetter pass over its lists, and skipped if it holds none;
-    a smaller cell has at most one pair, which the walk settles as fast.
+    since arcs are never loops, and the swap fixes the graph.
     """
     out_adj, in_adj = graph.out_adj, graph.in_adj
-    padded = None  # each point's lists at its own index, made once needed
     for cell in group.orbit_partition().cells:
-        if len(cell) > 2 and not out_adj[cell[0] - 1] and not in_adj[cell[0] - 1]:
-            if padded is None:
-                padded = ((), *out_adj), ((), *in_adj)
-            get = itemgetter(*cell)
-            if not any(get(padded[0])) and not any(get(padded[1])):
-                continue
         for a, b in pairwise(cell):
             # == reads every entry of two tuples even when they are one
             # object, as the lists of a batch-built complete bipartite

@@ -86,24 +86,23 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
     it carries the row (r,) + D_b1 + D_b2 + ... along, the row at y = x^s
     being the row at x mapped by s, and graph (r, b)'s out-list at x is
     its slice of the row at x, sorted. Every out-list is an ascending
-    tuple. When D_b is b's whole orbit, as in a complete bipartite graph,
-    every g maps it onto itself, so each out-list of the graph is the
-    group's cell of that orbit, one tuple and no sort, and the walk does
-    not carry that slice. The walk writes each row into one list of the
-    rows' columns, laid end to end, and drops it once it has mapped it
-    on, so the list is the only copy of the rows and each column is one
-    C-level slice. A one-point graph's lists are one itemgetter over its
-    column into the call's tuples (p,), each shared by all graphs the
-    call builds; a two-point graph orders the pairs of its two columns by
-    one comparison each. Only wider slices are sorted, each row's slice
-    in turn. The graphs are made last slice first, and each one's columns
-    are cut off the end of the list once read, so the list shrinks as the
-    graphs grow. When r's orbit is smaller than n, one itemgetter per
-    tail spreads each graph's lists onto 1..n, a point off the orbit
-    reading (). The reverse of (alpha, beta) is the graph whose slice of
+    tuple. The walk writes each row into one list of the rows' columns,
+    laid end to end, and drops it once it has mapped it on, so the list
+    is the only copy of the rows and each column is one C-level slice.
+    When D_b is b's whole orbit, as in a complete bipartite graph, every g
+    maps it onto itself, so each out-list of the graph is the group's
+    cell of that orbit, one tuple and no sort. Otherwise a one-point
+    graph's lists are one itemgetter over its column into the call's
+    tuples (p,), each shared by all graphs the call builds; a two-point
+    graph orders the pairs of its two columns by one comparison each.
+    Only wider slices are sorted, each row's slice in turn. The graphs
+    are made last slice first, each from its own columns, which are cut
+    off the end of the list once read, so the list shrinks as the graphs
+    grow. When r's orbit is smaller than n, one itemgetter per tail
+    spreads each graph's lists onto 1..n, a point off the orbit reading
+    (). The reverse of (alpha, beta) is the graph whose slice of
     the row at beta holds alpha, with tail the least point of beta's
-    orbit, or the covering graph of alpha's orbit when no walked slice
-    does. A graph is the reverse of its reverse, so one lookup serves
+    orbit. A graph is the reverse of its reverse, so one lookup serves
     both. The reverse's out_adj is (alpha, beta)'s in_adj, the same
     tuple, so a self-paired graph has in_adj is out_adj.
 
@@ -143,35 +142,21 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
         # a point off r's orbit is no tail: it reads the () after the lists
         if m < n:
             spread = itemgetter(*map(at.get, range(1, n + 1), repeat(m, n)))
-        # D_b is b's whole orbit, as in a complete bipartite graph, exactly
-        # when it has as many points; every g maps it onto itself, so each
-        # of the graph's lists is that cell, and the walk need not carry it
-        walked, covering = [], {}  # covering: least point of the cell -> pair
         cat = [r]
         starts = []
         for i in idx:
-            beta = pairs[i][1]
-            cell, slice_ = orbit_of[beta], stab._orbit_of[beta]
-            if len(slice_) < len(cell):
-                walked.append(i)
-                starts.append(len(cat))
-                cat.extend(slice_)
-            elif cell[0] in covering:
-                raise ValueError(f"two pairs with tail {r} name one orbital")
-            else:
-                covering[cell[0]] = i
-                lists = (cell,) * m
-                out[i] = lists if m == n else spread(lists + ((),))
+            starts.append(len(cat))
+            cat.extend(stab._orbit_of[pairs[i][1]])
         if len(set(cat)) < len(cat):
             raise ValueError(f"two pairs with tail {r} name one orbital")
         # the rows' columns end to end, entry p of every row being the
         # column cols[p * m : (p + 1) * m]; the walk writes each row there
         # once, as cols[k::m], maps it on by every generator and drops it,
-        # so this list is the only copy of the rows. A walked row has two
-        # or more points, so itemgetter over it returns a tuple.
+        # so this list is the only copy of the rows. A row has two or more
+        # points, so itemgetter over it returns a tuple.
         cols = [None] * (m * len(cat))
         cols[::m] = cat  # row 0, as r is the least point of its orbit
-        walk = deque([tuple(cat)] if walked else ())  # rows not yet mapped on
+        walk = deque([tuple(cat)])  # rows not yet mapped on
         while walk:
             row = walk.popleft()
             get = itemgetter(*row)
@@ -186,29 +171,32 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
             alpha, beta = pairs[i]
             try:
                 pos = cols[at[beta] :: m].index(alpha)  # in beta's row
-                k = walked[bisect_right(starts, pos) - 1]
             except ValueError:
-                # off the walked slices, alpha's orbit must be a covering one
-                if orbit_of[alpha][0] not in covering:
-                    raise ValueError(not_closed) from None
-                k = covering[orbit_of[alpha][0]]
+                raise ValueError(not_closed) from None
+            k = idx[bisect_right(starts, pos) - 1]
             reverse[i] = k
             reverse[k] = i
         # the last slice first, so that each graph's columns are dropped
         # from the end of cols once it has read them
         ends = starts[1:] + [len(cat)]
-        for i, lo, hi in zip(reversed(walked), reversed(starts), reversed(ends)):
-            if hi - lo == 1:
+        for i, lo, hi in zip(reversed(idx), reversed(starts), reversed(ends)):
+            cell = orbit_of[pairs[i][1]]
+            if hi - lo == len(cell):
+                # D_b is b's whole orbit, as in a complete bipartite graph,
+                # which every g maps onto itself
+                lists = (cell,) * m
+            elif hi - lo == 1:
                 if singles is None:
                     singles = tuple(zip(range(n + 1)))  # (p,) at index p
                 # r's orbit has two or more points here, since a fixed r has
-                # G_r = G, so itemgetter returns a tuple
-                lists = itemgetter(*cols[lo * m :])(singles)
+                # G_r = G, whose slices are whole orbits, so itemgetter
+                # returns a tuple
+                lists = itemgetter(*cols[lo * m : hi * m])(singles)
             elif hi - lo == 2:
-                column = zip(cols[lo * m : hi * m - m], cols[hi * m - m :])
+                column = zip(cols[lo * m : hi * m - m], cols[hi * m - m : hi * m])
                 lists = tuple([(a, b) if a < b else (b, a) for a, b in column])
             else:
-                block = cols[lo * m :]
+                block = cols[lo * m : hi * m]
                 lists = tuple([tuple(sorted(block[k::m])) for k in range(m)])
             out[i] = lists if m == n else spread(lists + ((),))
             del cols[lo * m :]
@@ -216,12 +204,10 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
     return list(map(OrbitalGraph, repeat(n), pairs, out, inn))
 
 
-def _pair_orbit_sizes(
-    group: PermGroup, alpha: int, beta: int, k: int | None = None
-) -> tuple[int, int, int, bool]:
+def _pair_orbit_sizes(group: PermGroup, alpha: int, beta: int) -> tuple[int, int, int, bool]:
     """Check the base pair and return its orbit sizes; see _orbit_sizes."""
     check_base_pair(group.degree, alpha, beta)
-    return _orbit_sizes(group, alpha, beta, k)
+    return _orbit_sizes(group, alpha, beta)
 
 
 def _orbit_sizes(

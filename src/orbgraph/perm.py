@@ -44,8 +44,7 @@ class Permutation:
         except TypeError:
             raise ValueError("images must be an iterable of integers") from None
         n = len(images)
-        if n < 1:
-            raise ValueError("degree must be at least 1")
+        _check_degree(n)
         if set(map(type, images)) != {int}:
             raise ValueError(f"images {images!r} are not all integers")
         if sorted(images) != list(range(1, n + 1)):
@@ -170,8 +169,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         else:
             raise ValueError(f"cycle ({body}) needs commas between points at degree {degree}")
         for p in points:
-            if not 1 <= p <= degree:
-                raise ValueError(f"point {p} out of range 1..{degree}")
+            _check_point(p, degree)
             if p in used:
                 raise ValueError(f"point {p} repeated in {text!r}")
             used.add(p)
@@ -204,6 +202,9 @@ class OrderedPartition:
             # ints always compare, so a cell that cannot be sorted holds a
             # point that is not an int, and the loop below reports it
             norm = cells
+        # _check_point's two tests, inline, with its messages: this loop
+        # reads every point, and a call per point would add to the set-up
+        # of every refinement
         seen: set[int] = set()
         for cell in norm:
             if not cell:

@@ -253,6 +253,11 @@ class TestOrbits:
         with pytest.raises(ValueError, match="not a Permutation"):
             PermGroup(3, [gen])
 
+    def test_generator_degree_must_match(self):
+        message = exactly("generator degree 4 does not match group degree 5")
+        with pytest.raises(ValueError, match=message):
+            PermGroup(5, [Permutation.identity(4)])
+
     @given(groups_st(max_degree=6))
     @settings(max_examples=40, deadline=None)
     def test_orbits_match_brute_force(self, group):
