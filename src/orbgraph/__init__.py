@@ -6,18 +6,16 @@ from .futility import (
     SHAPE_BIPARTITE,
     SHAPE_COMPLETE,
     SHAPE_NONE,
-    ArcCountBounds,
     FutilityVerdict,
-    arc_count_bounds,
     is_futile_fast,
     is_futile_oracle,
     is_futile_structural,
     transitive_group_futility,
     verdict_record,
+    verdict_records,
 )
 from .orbital import (
     OrbitalGraph,
-    arc_count_formula,
     build_orbital_graph,
     build_orbital_graphs,
     check_base_pair,

@@ -13,6 +13,7 @@ the definition directly.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from itertools import compress, pairwise
 
@@ -188,15 +189,10 @@ def _check_graph(graph, group: PermGroup) -> None:
         raise ValueError("graph and group degrees differ")
 
 
-@dataclass(frozen=True)
-class ArcCountBounds:
-    threshold: int
-    exceeds: bool
-
-
-def arc_count_bounds(group: PermGroup, alpha: int, beta: int) -> ArcCountBounds:
-    """Largest arc count a non-futile graph on these orbits could have;
-    exceeding it is equivalent to futility.
+def _bounds(sizes) -> tuple[int, bool]:
+    """The largest arc count a non-futile graph on the pair's orbits could
+    have, and whether the pair's graph exceeds it; exceeding it is
+    equivalent to futility.
 
     With n = |alpha^G|, m = |beta^G| and k = |beta^(G_alpha)| there are
     n*k arcs. In one orbit non-futile means k <= n - 2. Across orbits n*k
@@ -204,11 +200,6 @@ def arc_count_bounds(group: PermGroup, alpha: int, beta: int) -> ArcCountBounds:
     non-futile graph has at most min(n(m - 1), m(n - 1)) arcs. A futile
     graph has n(n - 1) or n*m arcs, more than either threshold.
     """
-    return ArcCountBounds(*_bounds(_pair_orbit_sizes(group, alpha, beta)))
-
-
-def _bounds(sizes) -> tuple[int, bool]:
-    """arc_count_bounds' threshold and whether the arc count exceeds it."""
     n, k, m, same_orbit = sizes
     threshold = n * (n - 2) if same_orbit else min(n * (m - 1), m * (n - 1))
     return threshold, n * k > threshold
@@ -250,12 +241,12 @@ def verdict_records(group, alpha, beta, methods, graph=None) -> list[dict]:
     a bad pair or method. The pair is checked once, by the closure when it
     builds the graph.
 
-    The records are the dicts of the verdict tuples that the CLI prints
-    directly. The records of one call share one thresholds dict; every
-    other value in them is a record's own.
+    The records are the CLI's JSON for the pair, parsed: one format
+    serves both, and no two records share a dict or list.
     """
     graph, sizes = _checked_pair(group, alpha, beta, methods, graph)
-    return _pair_records(group, alpha, beta, methods, graph, sizes)
+    verdicts = _pair_verdicts(group, methods, graph, sizes)
+    return json.loads(_verdicts_json([(alpha, beta)], [sizes], [verdicts]))
 
 
 def _checked_pair(group, alpha, beta, methods, graph):
@@ -280,33 +271,8 @@ def _checked_pair(group, alpha, beta, methods, graph):
     return graph, _orbit_sizes(group, alpha, beta, k)
 
 
-def _pair_records(group, alpha, beta, methods, graph, sizes) -> list[dict]:
-    """verdict_records on a pair, its graph and its orbit sizes, none of
-    which is checked: the dicts of _pair_verdicts' tuples. A witness swaps
-    the adjacent points (a, b) of a cell, so its cycles read "(a,b)". A
-    pair's records share one thresholds dict.
-    """
-    threshold, exceeds = _bounds(sizes)
-    thresholds = {"threshold": threshold, "exceeds": exceeds}
-    records = []
-    for method, futile, shape, witness, arc_count in _pair_verdicts(group, methods, graph, sizes):
-        if witness is not None:
-            (a, b), arc = witness
-            witness = {"permutation_cycles": f"({a},{b})", "violated_arc": list(arc)}
-        records.append({
-            "base_pair": [alpha, beta],
-            "futile": futile,
-            "shape": shape,
-            "method": method,
-            "witness": witness,
-            "arc_count": arc_count,
-            "thresholds": thresholds,
-        })
-    return records
-
-
-# one verdict record as json.dumps writes its dict from _pair_records:
-# every string in it is a fixed ASCII name or a witness's "(a,b)"
+# one verdict record as json.dumps writes it: every string in it is a
+# fixed ASCII name or a witness's "(a,b)"
 _RECORD = (
     '{"base_pair": [%d, %d], "futile": %s, "shape": "%s", "method": "%s", '
     '"witness": %s, "arc_count": %d, "thresholds": {"threshold": %d, "exceeds": %s}}'
@@ -316,9 +282,11 @@ _JSON_BOOL = {False: "false", True: "true"}
 
 
 def _verdicts_json(pairs, sizes_of, verdicts_of) -> str:
-    """json.dumps of the records _pair_records makes of each pair's
-    verdicts, in order, written byte for byte with one template per
-    record and no dict."""
+    """Each pair's verdicts, in order, as a JSON list of verdict records:
+    a witness ((a, b), arc) swaps the adjacent points a and b of a
+    cell, so its cycles read "(a,b)". The text is byte for byte what
+    json.dumps writes of the records, made with one template per record
+    and no dict."""
     parts = []
     for (alpha, beta), sizes, verdicts in zip(pairs, sizes_of, verdicts_of):
         threshold, exceeds = _bounds(sizes)

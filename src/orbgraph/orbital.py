@@ -214,8 +214,8 @@ def _orbit_sizes(
     group: PermGroup, alpha: int, beta: int, k: int | None = None
 ) -> tuple[int, int, int, bool]:
     """|alpha^G|, |beta^(G_alpha)|, |beta^G| and whether beta lies in
-    alpha's orbit, for a pair already checked: all that the arc count, the
-    fast futility test and the arc-count thresholds read. A given k is
+    alpha's orbit, for a pair already checked: all that the fast futility
+    test and a verdict record's arc count and thresholds read. A given k is
     |beta^(G_alpha)| read off the pair's graph; otherwise it comes from
     alpha's stabilizer."""
     orb_a, orb_b = group._orbit_of[alpha], group._orbit_of[beta]
@@ -223,13 +223,6 @@ def _orbit_sizes(
         k = len(group.point_stabilizer(alpha)._orbit_of[beta])
     # a group hands out one tuple per orbit, so equal orbits are one object
     return len(orb_a), k, len(orb_b), orb_b is orb_a
-
-
-def arc_count_formula(group: PermGroup, alpha: int, beta: int) -> int:
-    """Number of arcs without building the graph: the orbit size of alpha
-    times the orbit size of beta under alpha's stabilizer."""
-    n, k, _, _ = _pair_orbit_sizes(group, alpha, beta)
-    return n * k
 
 
 def is_self_paired(graph: OrbitalGraph) -> bool:

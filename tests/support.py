@@ -11,6 +11,7 @@ from math import factorial
 
 import hypothesis.strategies as st
 
+from orbgraph import futility
 from orbgraph.orbital import weak_components
 from orbgraph.perm import (
     _ChainLevel,
@@ -225,6 +226,32 @@ def brute_futile(graph, group) -> bool:
             if (e.apply(x), e.apply(y)) not in arcs:
                 return False
     return True
+
+
+def reference_records(group, alpha, beta, methods, graph=None) -> list[dict]:
+    """verdict_records built as dicts from the verdict tuples, with no
+    JSON text in between, so the library's text can be checked against it.
+    A witness swaps the adjacent points (a, b) of a cell, so its cycles
+    read "(a,b)"."""
+    graph, sizes = futility._checked_pair(group, alpha, beta, methods, graph)
+    threshold, exceeds = futility._bounds(sizes)
+    records = []
+    for method, futile, shape, witness, arc_count in futility._pair_verdicts(
+        group, methods, graph, sizes
+    ):
+        if witness is not None:
+            (a, b), arc = witness
+            witness = {"permutation_cycles": f"({a},{b})", "violated_arc": list(arc)}
+        records.append({
+            "base_pair": [alpha, beta],
+            "futile": futile,
+            "shape": shape,
+            "method": method,
+            "witness": witness,
+            "arc_count": arc_count,
+            "thresholds": {"threshold": threshold, "exceeds": exceeds},
+        })
+    return records
 
 
 def brute_transitivity_degree(elements, degree) -> int:

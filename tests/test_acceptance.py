@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import pytest
 
 from orbgraph.futility import (
-    arc_count_bounds,
     is_futile_fast,
     is_futile_oracle,
     is_futile_structural,
     transitive_group_futility,
+    verdict_record,
 )
 from orbgraph.orbital import (
-    arc_count_formula,
     build_orbital_graph,
     enumerate_base_pairs,
     is_self_paired,
@@ -72,7 +71,8 @@ class PairScan:
 @pytest.fixture(scope="session")
 def corpus_scan(corpus):
     """Three-way verdicts and arc counts for every valid base pair of every
-    corpus group, with the sweep's wall time."""
+    corpus group, with the sweep's wall time. The formula count n*k is
+    the fast verdict record's, read from alpha's stabilizer."""
     start = time.perf_counter()
     scans = []
     for group in corpus:
@@ -84,7 +84,7 @@ def corpus_scan(corpus):
                 structural=is_futile_structural(graph, group).futile,
                 oracle=is_futile_oracle(graph, group),
                 built_arcs=len(graph.arcs),
-                formula_arcs=arc_count_formula(group, *pair),
+                formula_arcs=verdict_record(group, *pair, "fast")["arc_count"],
             )
         scans.append(rows)
     elapsed = time.perf_counter() - start
@@ -124,13 +124,15 @@ def test_criterion_1_worked_examples():
 
     square = group_from(4, "(1,2,4,3)", "(1,2)(3,4)")
     g = build_orbital_graph(square, 1, 2)
-    bounds = arc_count_bounds(square, 1, 2)
-    assert len(g.arcs) == 8 and bounds.threshold == 8 and not bounds.exceeds
+    rec = verdict_record(square, 1, 2, "fast")
+    assert len(g.arcs) == rec["arc_count"] == 8
+    assert rec["thresholds"] == {"threshold": 8, "exceeds": False}
 
     diagonal = group_from(6, "(1,2,3)(4,5,6)", "(1,3)(4,5)")
     g = build_orbital_graph(diagonal, 1, 4)
-    bounds = arc_count_bounds(diagonal, 1, 4)
-    assert len(g.arcs) == 6 and bounds.threshold == 6 and not bounds.exceeds
+    rec = verdict_record(diagonal, 1, 4, "fast")
+    assert len(g.arcs) == rec["arc_count"] == 6
+    assert rec["thresholds"] == {"threshold": 6, "exceeds": False}
 
     assert time.perf_counter() - start < 1.0
 

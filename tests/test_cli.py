@@ -18,7 +18,7 @@ from orbgraph.futility import METHODS, is_futile_structural, verdict_records
 from orbgraph.orbital import OrbitalGraph, build_orbital_graph, enumerate_base_pairs
 from orbgraph.perm import parse_cycles, parse_group_text
 
-from support import block_preserving_group
+from support import block_preserving_group, reference_records
 from test_futility import FORMULA_FAMILIES
 from test_golden import cases
 
@@ -333,9 +333,9 @@ def _seeded_groups():
 
 
 def test_all_pairs_records_are_the_pairs_verdict_records(corpus_sample):
-    # pair by pair, all-pairs futility prints what verdict_records makes of
-    # the pair's closure, and a witness's cycles are those of the
-    # structural test's permutation
+    # pair by pair, all-pairs futility prints the records of the pair's
+    # closure, built as dicts from its verdicts, and a witness's cycles are
+    # those of the structural test's permutation
     families = [param.values[0](*param.values[1]) for param in FORMULA_FAMILIES]
     swept = witnessed = 0
     for group in [*corpus_sample, *families, *_seeded_groups()]:
@@ -345,7 +345,7 @@ def test_all_pairs_records_are_the_pairs_verdict_records(corpus_sample):
         for i, (alpha, beta) in enumerate(pairs):
             graph = build_orbital_graph(group, alpha, beta)
             mine = records[i * len(METHODS) : (i + 1) * len(METHODS)]
-            assert mine == verdict_records(group, alpha, beta, METHODS, graph)
+            assert mine == reference_records(group, alpha, beta, METHODS, graph)
             verdict = is_futile_structural(graph, group)
             for r in mine:
                 if r["method"] == "fast" or r["futile"]:
@@ -361,14 +361,14 @@ def test_all_pairs_records_are_the_pairs_verdict_records(corpus_sample):
 @pytest.mark.parametrize("method", [*METHODS, "all"])
 def test_json_is_json_dumps_of_the_records(corpus_sample, method):
     # the CLI writes each record from one template; byte for byte that is
-    # json.dumps of the pairs' verdict_records, fast-only runs included,
-    # which build no graph
+    # json.dumps of the pairs' records built as dicts, fast-only runs
+    # included, which build no graph
     families = [param.values[0](*param.values[1]) for param in FORMULA_FAMILIES]
     methods = list(METHODS) if method == "all" else [method]
     for group in [*corpus_sample, *families, *_seeded_groups()]:
         records = []
         for alpha, beta in enumerate_base_pairs(group):
-            records += verdict_records(group, alpha, beta, methods)
+            records += reference_records(group, alpha, beta, methods)
         argv = ["futility", _group_text(group), "--method", method, "--json"]
         assert _stdout(argv) == json.dumps(records) + "\n"
 
@@ -387,7 +387,7 @@ def test_pair_json_is_json_dumps_of_the_records(corpus_sample):
                 methods = list(METHODS) if method == "all" else [method]
                 argv = ["futility", text, "--pair", f"{alpha},{beta}", "--method", method]
                 argv.append("--json")
-                expected = json.dumps(verdict_records(group, alpha, beta, methods))
+                expected = json.dumps(reference_records(group, alpha, beta, methods))
                 assert _stdout(argv) == expected + "\n"
             shown.add(futile)
     assert shown == {False, True}

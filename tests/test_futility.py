@@ -15,7 +15,6 @@ from orbgraph.futility import (
     SHAPE_COMPLETE,
     SHAPE_NONE,
     FutilityVerdict,
-    arc_count_bounds,
     is_futile_fast,
     is_futile_oracle,
     is_futile_structural,
@@ -25,7 +24,6 @@ from orbgraph.futility import (
 )
 from orbgraph.orbital import (
     OrbitalGraph,
-    arc_count_formula,
     build_orbital_graph,
     build_orbital_graphs,
     enumerate_base_pairs,
@@ -382,22 +380,21 @@ class TestStabilizerTransitivity:
 
 
 class TestArcCountBounds:
+    # the thresholds each verdict record carries; the fast record's arc
+    # count is n*k, read from alpha's stabilizer and not from a graph
     def test_within_orbit_threshold_met_exactly(self, square_symmetries):
-        bounds = arc_count_bounds(square_symmetries, 1, 2)
-        assert bounds.threshold == 8
-        assert not bounds.exceeds
-        assert len(build_orbital_graph(square_symmetries, 1, 2).arcs) == 8
+        rec = verdict_record(square_symmetries, 1, 2, "fast")
+        assert rec["thresholds"] == {"threshold": 8, "exceeds": False}
+        assert rec["arc_count"] == len(build_orbital_graph(square_symmetries, 1, 2).arcs) == 8
 
     def test_cross_orbit_threshold_met_exactly(self, diagonal_triangles):
-        bounds = arc_count_bounds(diagonal_triangles, 1, 4)
-        assert bounds.threshold == 6
-        assert not bounds.exceeds
-        assert len(build_orbital_graph(diagonal_triangles, 1, 4).arcs) == 6
+        rec = verdict_record(diagonal_triangles, 1, 4, "fast")
+        assert rec["thresholds"] == {"threshold": 6, "exceeds": False}
+        assert rec["arc_count"] == len(build_orbital_graph(diagonal_triangles, 1, 4).arcs) == 6
 
     def test_complete_graph_exceeds(self):
-        bounds = arc_count_bounds(PermGroup.symmetric(4), 1, 2)
-        assert bounds.threshold == 8
-        assert bounds.exceeds
+        rec = verdict_record(PermGroup.symmetric(4), 1, 2, "fast")
+        assert rec["thresholds"] == {"threshold": 8, "exceeds": True}
 
     def test_exceeding_implies_futile(self, corpus_sample):
         # one direction of the equivalence below, kept as its own check;
@@ -405,8 +402,7 @@ class TestArcCountBounds:
         exceeding = not_exceeding = 0
         for group in corpus_sample:
             for pair in enumerate_base_pairs(group):
-                bounds = arc_count_bounds(group, *pair)
-                if bounds.exceeds:
+                if verdict_record(group, *pair, "fast")["thresholds"]["exceeds"]:
                     assert is_futile_fast(group, *pair)
                     exceeding += 1
                 else:
@@ -418,7 +414,8 @@ class TestArcCountBounds:
         # min(n(m-1), m(n-1)) across, futile ones n(n-1) or n*m
         for group in corpus_sample:
             for pair in base_pairs_of(group):
-                assert arc_count_bounds(group, *pair).exceeds == is_futile_fast(group, *pair)
+                exceeds = verdict_record(group, *pair, "fast")["thresholds"]["exceeds"]
+                assert exceeds == is_futile_fast(group, *pair)
 
 
 class TestTransitiveGroups:
@@ -491,14 +488,25 @@ class TestVerdictRecord:
         }
         assert rec["arc_count"] == 12
 
-    def test_records_share_only_their_thresholds(self, two_triangles):
-        # so changing one record's pair or witness leaves the others alone
-        fast, structural, oracle = verdict_records(two_triangles, 1, 2, METHODS)
-        assert structural["witness"] == oracle["witness"]
-        assert structural["witness"] is not oracle["witness"]
-        assert structural["witness"]["violated_arc"] is not oracle["witness"]["violated_arc"]
-        assert len({id(r["base_pair"]) for r in (fast, structural, oracle)}) == 3
-        assert fast["thresholds"] is structural["thresholds"] is oracle["thresholds"]
+    def test_records_share_no_object(self, two_triangles):
+        # so changing any part of one record leaves the others alone: no
+        # dict or list is in two records, though their pairs, witnesses
+        # and thresholds are equal
+        records = verdict_records(two_triangles, 1, 2, METHODS)
+        fast, structural, oracle = records
+        assert fast["thresholds"] == structural["thresholds"] == oracle["thresholds"]
+        assert structural["witness"] == oracle["witness"] is not None
+
+        def containers(value):
+            if isinstance(value, (dict, list)):
+                yield value
+                for part in value.values() if isinstance(value, dict) else value:
+                    yield from containers(part)
+
+        # each record, its pair and its thresholds, and each witness with
+        # its arc
+        ids = [id(c) for record in records for c in containers(record)]
+        assert len(ids) == len(set(ids)) == 3 * 3 + 2 * 2
 
     def test_oracle_record_shape_from_self_pairing(self, two_swaps):
         rec = verdict_record(two_swaps, 1, 3, "oracle")
@@ -671,8 +679,9 @@ def test_three_routes_agree_at_larger_degrees():
             g = build_orbital_graph(group, alpha, beta)
             fast = is_futile_fast(group, alpha, beta)
             assert fast == is_futile_structural(g, group).futile == is_futile_oracle(g, group)
-            assert arc_count_bounds(group, alpha, beta).exceeds == fast
-            assert arc_count_formula(group, alpha, beta) == len(g.arcs)
+            rec = verdict_record(group, alpha, beta, "fast")
+            assert rec["thresholds"]["exceeds"] == fast
+            assert rec["arc_count"] == len(g.arcs)
             arc_sets.add(g.arcs)
             verdicts.add(fast)
         # the enumeration emits one pair per distinct graph
@@ -717,8 +726,9 @@ def test_formula_families(build, args, pairs, futile):
         g = build_orbital_graph(group, alpha, beta)
         fast = is_futile_fast(group, alpha, beta)
         assert fast == is_futile_structural(g, group).futile == is_futile_oracle(g, group)
-        assert arc_count_bounds(group, alpha, beta).exceeds == fast
-        assert arc_count_formula(group, alpha, beta) == len(g.arcs)
+        rec = verdict_record(group, alpha, beta, "fast")
+        assert rec["thresholds"]["exceeds"] == fast
+        assert rec["arc_count"] == len(g.arcs)
         verdicts.append(fast)
     assert sum(verdicts) == futile
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from orbgraph.orbital import (
     _pair_orbit_sizes,
     _sized_base_pairs,
-    arc_count_formula,
     build_orbital_graph,
     build_orbital_graphs,
     enumerate_base_pairs,
@@ -21,7 +20,7 @@ from orbgraph.orbital import (
     to_dot,
     weak_components,
 )
-from orbgraph.futility import is_futile_fast
+from orbgraph.futility import is_futile_fast, verdict_record
 from orbgraph.perm import PermGroup, parse_cycles
 from orbgraph.refine import select_useful_graphs
 
@@ -420,16 +419,21 @@ class TestSizedBasePairs:
 
 
 class TestArcCount:
+    # the fast verdict record's arc count, n*k from alpha's stabilizer
+    @staticmethod
+    def formula(group, alpha, beta):
+        return verdict_record(group, alpha, beta, "fast")["arc_count"]
+
     def test_formula_examples(self, diagonal_triangles, two_swaps):
-        assert arc_count_formula(diagonal_triangles, 1, 4) == 6
-        assert arc_count_formula(two_swaps, 3, 4) == 4
-        assert arc_count_formula(PermGroup.symmetric(5), 1, 2) == 20
+        assert self.formula(diagonal_triangles, 1, 4) == 6
+        assert self.formula(two_swaps, 3, 4) == 4
+        assert self.formula(PermGroup.symmetric(5), 1, 2) == 20
 
     def test_formula_equals_built_count(self, corpus_sample):
         for group in corpus_sample:
             for pair in enumerate_base_pairs(group):
                 g = build_orbital_graph(group, *pair)
-                assert len(g.arcs) == arc_count_formula(group, *pair)
+                assert len(g.arcs) == self.formula(group, *pair)
 
 
 class TestOrbitTable:
