@@ -6,7 +6,6 @@ from .futility import (
     SHAPE_BIPARTITE,
     SHAPE_COMPLETE,
     SHAPE_NONE,
-    FutilityVerdict,
     is_futile_fast,
     is_futile_oracle,
     is_futile_structural,

@@ -103,7 +103,7 @@ def _cmd_futility(args) -> int:
         # checks the pair and the graph and reads the pair's orbit sizes
         pairs = [args.pair]
         graph = build_orbital_graph(group, *args.pair) if build else None
-        graph, sizes = _checked_pair(group, *args.pair, methods, graph)
+        methods, graph, sizes = _checked_pair(group, *args.pair, methods, graph)
         graphs, sizes_of = [graph], [sizes]
     else:
         # a whole enumeration is built from its stabilizers, and each pair

@@ -8,41 +8,28 @@ tails fill one orbit and its heads fill one orbit, so it is futile exactly
 when its arc set is the complete digraph on its tails, or is tails x heads
 with the two disjoint. The three tests here decide that from the orbit
 sizes of the base pair, from the built graph's tails and heads, and from
-the definition directly.
+the definition directly, and each answers with a bool. A verdict's shape
+and witness are read from its record, as verdict_records makes it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import compress, pairwise
 
 from .orbital import (
     OrbitalGraph,
     _orbit_sizes,
-    _pair_orbit_sizes,
     build_orbital_graph,
     check_base_pair,
 )
-from .perm import PermGroup, Permutation
+from .perm import PermGroup
 
 SHAPE_COMPLETE = "complete-on-orbit"
 SHAPE_BIPARTITE = "complete-bipartite"
 SHAPE_NONE = "not-futile"
 
 METHODS = ("fast", "structural", "oracle")
-
-
-@dataclass(frozen=True)
-class FutilityVerdict:
-    """Outcome of the structural test: the shape found, the component it
-    lives on, and for non-futile graphs a witness (g, arc) where g is an
-    adjacent transposition of an orbit cell moving arc off the arc set."""
-
-    futile: bool
-    shape: str
-    component: tuple[int, ...] | None
-    witness: tuple[Permutation, tuple[int, int]] | None
 
 
 def _witness(graph: OrbitalGraph, group: PermGroup):
@@ -106,7 +93,8 @@ def is_futile_fast(group: PermGroup, alpha: int, beta: int) -> bool:
     With beta outside, the graph is complete bipartite exactly when the
     stabilizer orbit of beta already covers beta's whole orbit.
     """
-    return _fast(_pair_orbit_sizes(group, alpha, beta))
+    check_base_pair(group.degree, alpha, beta)
+    return _fast(_orbit_sizes(group, alpha, beta))
 
 
 def _fast(sizes) -> bool:
@@ -114,50 +102,45 @@ def _fast(sizes) -> bool:
     return k == (n - 1 if same_orbit else m)
 
 
-def is_futile_structural(graph: OrbitalGraph, group: PermGroup) -> FutilityVerdict:
-    """Classify the built graph from its arc tails and heads.
+def is_futile_structural(graph: OrbitalGraph, group: PermGroup) -> bool:
+    """Decide futility by classifying the built graph from its arc tails
+    and heads.
 
     Arcs are never loops, so the graph is the complete digraph on its
     tails exactly when tails equal heads and it has |tails|(|tails|-1)
     arcs, and complete bipartite from the tails to disjoint heads exactly
     when it has |tails||heads| arcs. Either is futile when the tails, and
     for the bipartite shape the heads too, are unions of whole orbits, as
-    an orbital graph's always are; the component is the union of the two
-    sets. Non-futile verdicts carry the oracle's witness: the first
-    adjacent transposition of an orbit cell that breaks the graph, with
-    the least arc it moves off the arc set. A futile graph of any other
+    an orbital graph's always are. A graph of neither shape is checked to
+    have the oracle's witness, an adjacent transposition of an orbit cell
+    that moves some arc off the arc set; the shape and the witness are in
+    the graph's structural verdict record. A futile graph of any other
     shape, such as O1 x O2 with O2 x O1 for orbits O1 and O2, which no
     base pair builds, has no witness, and raises RuntimeError.
     """
     _check_graph(graph, group)
-    shape, tails, heads = _shape(graph, group, sum(map(len, graph.out_adj)))
-    if shape == SHAPE_COMPLETE:
-        return FutilityVerdict(True, shape, tuple(tails), None)
-    if shape == SHAPE_BIPARTITE:
-        return FutilityVerdict(True, shape, tuple(sorted(tails + heads)), None)
-    (a, b), arc = _required_witness(graph, group)
-    images = list(range(1, graph.degree + 1))
-    images[a - 1], images[b - 1] = b, a
-    return FutilityVerdict(False, shape, None, (Permutation._unchecked(tuple(images)), arc))
+    if _shape(graph, group, sum(map(len, graph.out_adj))) != SHAPE_NONE:
+        return True
+    _required_witness(graph, group)
+    return False
 
 
-def _shape(graph: OrbitalGraph, group: PermGroup, count: int):
-    """The structural test's shape of a graph with count arcs, with the
-    graph's tails and heads when it is futile. The tails and heads are the
-    points with a non-empty out- or in-list, each listed by one C-level
-    pass. Once the arc count fits a shape, the tails, and for the
-    bipartite shape the heads, must be unions of whole orbits; an arc-free
-    graph is the complete digraph on no points."""
+def _shape(graph: OrbitalGraph, group: PermGroup, count: int) -> str:
+    """The structural test's shape of a graph with count arcs. Its tails
+    and heads are the points with a non-empty out- or in-list, each
+    listed by one C-level pass. Once the arc count fits a shape, the
+    tails, and for the bipartite shape the heads, must be unions of whole
+    orbits; an arc-free graph is the complete digraph on no points."""
     points = range(1, graph.degree + 1)
     tails = list(compress(points, graph.out_adj))
     heads = list(compress(points, graph.in_adj))
     if tails == heads and count == len(tails) * (len(tails) - 1):
         if _whole_orbits(group, tails):
-            return SHAPE_COMPLETE, tails, heads
+            return SHAPE_COMPLETE
     elif count == len(tails) * len(heads) and set(tails).isdisjoint(heads):
         if _whole_orbits(group, tails) and _whole_orbits(group, heads):
-            return SHAPE_BIPARTITE, tails, heads
-    return SHAPE_NONE, None, None
+            return SHAPE_BIPARTITE
+    return SHAPE_NONE
 
 
 def _whole_orbits(group: PermGroup, points) -> bool:
@@ -244,19 +227,22 @@ def verdict_records(group, alpha, beta, methods, graph=None) -> list[dict]:
     The records are the CLI's JSON for the pair, parsed: one format
     serves both, and no two records share a dict or list.
     """
-    graph, sizes = _checked_pair(group, alpha, beta, methods, graph)
+    methods, graph, sizes = _checked_pair(group, alpha, beta, methods, graph)
     verdicts = _pair_verdicts(group, methods, graph, sizes)
     return json.loads(_verdicts_json([(alpha, beta)], [sizes], [verdicts]))
 
 
 def _checked_pair(group, alpha, beta, methods, graph):
     """Check the methods, the pair and a given graph as verdict_records
-    does, and return the graph the methods read, built by closure when
-    one is needed and none is given, with the pair's orbit sizes."""
+    does, and return the methods as a tuple, read once, so that an
+    iterator serves every later read too; the graph the methods read,
+    built by closure when one is needed and none is given; and the pair's
+    orbit sizes."""
     try:
-        unknown = [m for m in methods if m not in METHODS]
+        methods = tuple(methods)
     except TypeError:
         raise ValueError("methods must be an iterable of method names") from None
+    unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValueError(f"unknown method {unknown[0]!r}")
     if graph is None and any(m != "fast" for m in methods):
@@ -268,7 +254,7 @@ def _checked_pair(group, alpha, beta, methods, graph):
             if not graph.has_arc(alpha, beta):
                 raise ValueError(f"base pair ({alpha},{beta}) is not an arc of the graph")
     k = None if graph is None or "fast" in methods else len(graph.out_adj[alpha - 1])
-    return graph, _orbit_sizes(group, alpha, beta, k)
+    return methods, graph, _orbit_sizes(group, alpha, beta, k)
 
 
 # one verdict record as json.dumps writes it: every string in it is a
@@ -319,7 +305,7 @@ def _pair_verdicts(group, methods, graph, sizes) -> list[tuple]:
         if method == "fast":
             futile = _fast(sizes)
         elif method == "structural":
-            shape = _shape(graph, group, arcs)[0]
+            shape = _shape(graph, group, arcs)
             futile = shape != SHAPE_NONE
             if not futile:
                 witness = found = _required_witness(graph, group)

@@ -204,12 +204,6 @@ def build_orbital_graphs(group: PermGroup, pairs) -> list[OrbitalGraph]:
     return list(map(OrbitalGraph, repeat(n), pairs, out, inn))
 
 
-def _pair_orbit_sizes(group: PermGroup, alpha: int, beta: int) -> tuple[int, int, int, bool]:
-    """Check the base pair and return its orbit sizes; see _orbit_sizes."""
-    check_base_pair(group.degree, alpha, beta)
-    return _orbit_sizes(group, alpha, beta)
-
-
 def _orbit_sizes(
     group: PermGroup, alpha: int, beta: int, k: int | None = None
 ) -> tuple[int, int, int, bool]:
@@ -275,7 +269,7 @@ def enumerate_base_pairs(group: PermGroup) -> list[tuple[int, int]]:
 
 def _sized_base_pairs(group: PermGroup):
     """Yield each pair of enumerate_base_pairs, in its order, with the
-    sizes _pair_orbit_sizes would return for it, read off the cells the
+    sizes _orbit_sizes would return for it, read off the cells the
     enumeration walks: alpha's orbit, beta's stabilizer orbit, and beta's
     orbit, which is the same tuple as alpha's when they share it."""
     orbit_of = group._orbit_of

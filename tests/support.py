@@ -179,6 +179,43 @@ def brute_arcs(elements, alpha, beta) -> tuple[tuple[int, int], ...]:
     return tuple(sorted({(e.apply(alpha), e.apply(beta)) for e in elements}))
 
 
+def burnside_block_counts(group) -> dict[tuple[int, int], tuple[int, int]]:
+    """Burnside's lemma on each orbit block O_i x O_j, from every element
+    and no stabilizer: keyed by the least points of O_i and O_j, the
+    number of orbitals in the block, the diagonal left out when i = j, and
+    the number of those that are self-paired, which only a block with
+    i = j holds.
+
+    With fix_i(g) the points of O_i that g fixes, g fixes fix_i(g)
+    fix_j(g) pairs of the block, so the block holds (1/|G|) sum_g
+    fix_i(g) fix_j(g) orbitals. An orbital holding (x, y) is self-paired
+    exactly when some g swaps x and y, and then g^2 fixes x; counting
+    those g shows that O_i x O_i holds (1/|G|) sum_g fix_i(g^2)
+    self-paired orbitals, the diagonal included.
+    """
+    elements = all_elements(group)
+    orbits = sorted({brute_orbit(elements, x) for x in range(1, group.degree + 1)})
+    r = len(orbits)
+    pair_sums = [[0] * r for _ in range(r)]
+    square_sums = [0] * r
+    for e in elements:
+        im = e.images
+        fixed = [sum(im[x - 1] == x for x in orbit) for orbit in orbits]
+        for i, orbit in enumerate(orbits):
+            square_sums[i] += sum(im[im[x - 1] - 1] == x for x in orbit)
+            for j in range(r):
+                pair_sums[i][j] += fixed[i] * fixed[j]
+    order = len(elements)
+    return {
+        (orbits[i][0], orbits[j][0]): (
+            pair_sums[i][j] // order - (i == j),
+            square_sums[i] // order - 1 if i == j else 0,
+        )
+        for i in range(r)
+        for j in range(r)
+    }
+
+
 def partition_stabilizer_generators(partition: OrderedPartition) -> list[Permutation]:
     """Adjacent transpositions within each cell.
 
@@ -233,7 +270,7 @@ def reference_records(group, alpha, beta, methods, graph=None) -> list[dict]:
     JSON text in between, so the library's text can be checked against it.
     A witness swaps the adjacent points (a, b) of a cell, so its cycles
     read "(a,b)"."""
-    graph, sizes = futility._checked_pair(group, alpha, beta, methods, graph)
+    methods, graph, sizes = futility._checked_pair(group, alpha, beta, methods, graph)
     threshold, exceeds = futility._bounds(sizes)
     records = []
     for method, futile, shape, witness, arc_count in futility._pair_verdicts(

@@ -18,6 +18,7 @@ from orbgraph.futility import (
     is_futile_structural,
     transitive_group_futility,
     verdict_record,
+    verdict_records,
 )
 from orbgraph.orbital import (
     build_orbital_graph,
@@ -26,7 +27,7 @@ from orbgraph.orbital import (
     isolated_vertices,
     weak_components,
 )
-from orbgraph.perm import OrderedPartition, PermGroup
+from orbgraph.perm import OrderedPartition, PermGroup, parse_cycles
 from orbgraph.refine import refine_by_graph
 
 from conftest import CorpusConfig
@@ -81,7 +82,7 @@ def corpus_scan(corpus):
             graph = build_orbital_graph(group, *pair)
             rows[pair] = PairScan(
                 fast=is_futile_fast(group, *pair),
-                structural=is_futile_structural(graph, group).futile,
+                structural=is_futile_structural(graph, group),
                 oracle=is_futile_oracle(graph, group),
                 built_arcs=len(graph.arcs),
                 formula_arcs=verdict_record(group, *pair, "fast")["arc_count"],
@@ -114,11 +115,12 @@ def test_criterion_1_worked_examples():
         members = set(cell)
         assert sum(1 for a in g.arcs if a[0] in members) == 6
     assert isolated_vertices(g) == (7, 8, 9)
-    verdict = is_futile_structural(g, two_triangles)
-    assert not verdict.futile
+    assert is_futile_structural(g, two_triangles) is False
     assert not is_futile_fast(two_triangles, 1, 2)
     assert not is_futile_oracle(g, two_triangles)
-    perm, arc = verdict.witness
+    witness = verdict_records(two_triangles, 1, 2, ["structural"], g)[0]["witness"]
+    perm = parse_cycles(witness["permutation_cycles"], 9)
+    arc = witness["violated_arc"]
     assert g.has_arc(*arc)
     assert not g.has_arc(perm.apply(arc[0]), perm.apply(arc[1]))
 

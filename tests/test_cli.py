@@ -14,9 +14,9 @@ import pytest
 import orbgraph
 from orbgraph import futility
 from orbgraph.cli import run
-from orbgraph.futility import METHODS, is_futile_structural, verdict_records
+from orbgraph.futility import METHODS, verdict_records
 from orbgraph.orbital import OrbitalGraph, build_orbital_graph, enumerate_base_pairs
-from orbgraph.perm import parse_cycles, parse_group_text
+from orbgraph.perm import Permutation, parse_cycles, parse_group_text
 
 from support import block_preserving_group, reference_records
 from test_futility import FORMULA_FAMILIES
@@ -311,8 +311,7 @@ class TestBuilders:
 
         argv = ["futility", text] + ([] if table else ["--json"])
         expected = _stdout(argv)
-        monkeypatch.setattr("orbgraph.orbital._pair_orbit_sizes", no_check)
-        monkeypatch.setattr("orbgraph.futility._pair_orbit_sizes", no_check)
+        monkeypatch.setattr("orbgraph.futility._orbit_sizes", no_check)
         monkeypatch.setattr("orbgraph.futility.check_base_pair", no_check)
         monkeypatch.setattr("orbgraph.cli._checked_pair", no_check)
         if not table:
@@ -335,7 +334,7 @@ def _seeded_groups():
 def test_all_pairs_records_are_the_pairs_verdict_records(corpus_sample):
     # pair by pair, all-pairs futility prints the records of the pair's
     # closure, built as dicts from its verdicts, and a witness's cycles are
-    # those of the structural test's permutation
+    # those of the permutation that swaps the witness search's two points
     families = [param.values[0](*param.values[1]) for param in FORMULA_FAMILIES]
     swept = witnessed = 0
     for group in [*corpus_sample, *families, *_seeded_groups()]:
@@ -346,13 +345,16 @@ def test_all_pairs_records_are_the_pairs_verdict_records(corpus_sample):
             graph = build_orbital_graph(group, alpha, beta)
             mine = records[i * len(METHODS) : (i + 1) * len(METHODS)]
             assert mine == reference_records(group, alpha, beta, METHODS, graph)
-            verdict = is_futile_structural(graph, group)
+            witness = futility._witness(graph, group)
             for r in mine:
                 if r["method"] == "fast" or r["futile"]:
                     assert r["witness"] is None
                 else:
-                    assert r["witness"]["permutation_cycles"] == verdict.witness[0].cycle_string()
-                    assert r["witness"]["violated_arc"] == list(verdict.witness[1])
+                    (a, b), arc = witness
+                    images = list(range(1, group.degree + 1))
+                    images[a - 1], images[b - 1] = b, a
+                    assert r["witness"]["permutation_cycles"] == Permutation(images).cycle_string()
+                    assert r["witness"]["violated_arc"] == list(arc)
                     witnessed += 1
             swept += 1
     assert swept > 2000 and witnessed > 1000

@@ -14,7 +14,6 @@ from orbgraph.futility import (
     SHAPE_BIPARTITE,
     SHAPE_COMPLETE,
     SHAPE_NONE,
-    FutilityVerdict,
     is_futile_fast,
     is_futile_oracle,
     is_futile_structural,
@@ -24,11 +23,14 @@ from orbgraph.futility import (
 )
 from orbgraph.orbital import (
     OrbitalGraph,
+    _sized_base_pairs,
     build_orbital_graph,
     build_orbital_graphs,
     enumerate_base_pairs,
+    is_self_paired,
+    isolated_vertices,
 )
-from orbgraph.perm import PermGroup, Permutation
+from orbgraph.perm import PermGroup, Permutation, parse_cycles
 
 from support import (
     all_elements,
@@ -36,6 +38,7 @@ from support import (
     base_pairs_of,
     block_preserving_group,
     brute_futile,
+    burnside_block_counts,
     cyclic_group,
     dihedral_group,
     disjoint_symmetric_groups,
@@ -74,17 +77,27 @@ class TestFast:
                 assert is_futile_fast(group, *pair) == brute_futile(g, group)
 
 
+def structural_record(graph, group) -> dict:
+    """The structural verdict record of a graph, read at its base pair."""
+    return verdict_records(group, *graph.base_pair, ["structural"], graph)[0]
+
+
+def arc_points(graph) -> tuple[int, ...]:
+    """The points on some arc: a futile graph's one nontrivial component."""
+    isolated = set(isolated_vertices(graph))
+    return tuple(v for v in range(1, graph.degree + 1) if v not in isolated)
+
+
 class TestStructural:
     def test_two_triangles_verdict(self, two_triangles):
         g = build_orbital_graph(two_triangles, 1, 2)
-        v = is_futile_structural(g, two_triangles)
-        assert not v.futile
-        assert v.shape == SHAPE_NONE
-        assert v.component is None
-        perm, arc = v.witness
+        assert is_futile_structural(g, two_triangles) is False
+        record = structural_record(g, two_triangles)
+        assert record["shape"] == SHAPE_NONE
+        perm = parse_cycles(record["witness"]["permutation_cycles"], 9)
         # the witness really does break the graph and really does stabilize
         # the orbit partition
-        x, y = arc
+        x, y = record["witness"]["violated_arc"]
         assert g.has_arc(x, y)
         assert not g.has_arc(perm.apply(x), perm.apply(y))
         gens = partition_stabilizer_generators(two_triangles.orbit_partition())
@@ -92,37 +105,35 @@ class TestStructural:
 
     def test_single_arc_shape(self, two_swaps):
         g = build_orbital_graph(two_swaps, 1, 7)
-        v = is_futile_structural(g, two_swaps)
-        assert v.futile and v.shape == SHAPE_BIPARTITE
-        assert v.component == (1, 7)
-        assert v.witness is None
+        assert is_futile_structural(g, two_swaps) is True
+        record = structural_record(g, two_swaps)
+        assert record["shape"] == SHAPE_BIPARTITE
+        assert record["witness"] is None
+        assert arc_points(g) == (1, 7)
 
     def test_bipartite_shape(self, two_swaps):
         g = build_orbital_graph(two_swaps, 3, 4)
-        v = is_futile_structural(g, two_swaps)
-        assert v.futile and v.shape == SHAPE_BIPARTITE
-        assert v.component == (2, 3, 4, 6)
+        assert is_futile_structural(g, two_swaps) is True
+        assert structural_record(g, two_swaps)["shape"] == SHAPE_BIPARTITE
+        assert arc_points(g) == (2, 3, 4, 6)
 
     def test_complete_shape(self):
         group = PermGroup.symmetric(4)
-        v = is_futile_structural(build_orbital_graph(group, 1, 2), group)
-        assert v.futile and v.shape == SHAPE_COMPLETE
-        assert v.component == (1, 2, 3, 4)
+        g = build_orbital_graph(group, 1, 2)
+        assert is_futile_structural(g, group) is True
+        assert structural_record(g, group)["shape"] == SHAPE_COMPLETE
+        assert arc_points(g) == (1, 2, 3, 4)
 
     def test_eight_arc_graph_not_futile(self, square_symmetries):
         g = build_orbital_graph(square_symmetries, 1, 2)
-        v = is_futile_structural(g, square_symmetries)
-        assert not v.futile
-        assert v.witness is not None
+        assert is_futile_structural(g, square_symmetries) is False
+        assert structural_record(g, square_symmetries)["witness"] is not None
 
     def test_witness_is_deterministic(self, two_triangles):
         g = build_orbital_graph(two_triangles, 1, 2)
-        v1 = is_futile_structural(g, two_triangles)
-        v2 = is_futile_structural(g, two_triangles)
-        assert v1.witness == v2.witness
-        perm, arc = v1.witness
-        assert perm.cycle_string() == "(3,4)"
-        assert arc == (1, 3)
+        record = structural_record(g, two_triangles)
+        assert structural_record(g, two_triangles) == record
+        assert record["witness"] == {"permutation_cycles": "(3,4)", "violated_arc": [1, 3]}
 
     @pytest.mark.parametrize(
         "pair,shape,component",
@@ -135,8 +146,8 @@ class TestStructural:
         listed = dataclasses.replace(
             g, out_adj=tuple(map(list, g.out_adj)), in_adj=tuple(map(list, g.in_adj))
         )
-        v = is_futile_structural(listed, two_swaps)
-        assert v.futile and v.shape == shape and v.component == component
+        assert is_futile_structural(listed, two_swaps) is True
+        assert arc_points(listed) == component
         records = verdict_records(two_swaps, *pair, METHODS, listed)
         assert [r["futile"] for r in records] == [True] * len(METHODS)
         assert records[1]["shape"] == shape
@@ -147,15 +158,14 @@ class TestStructural:
             is_futile_structural(g, two_triangles)
 
     def test_self_paired_futile_graphs_are_complete(self, corpus_sample):
-        from orbgraph.orbital import is_self_paired
-
         for group in corpus_sample:
             for pair in enumerate_base_pairs(group):
                 g = build_orbital_graph(group, *pair)
-                v = is_futile_structural(g, group)
-                if v.futile:
+                record = structural_record(g, group)
+                assert is_futile_structural(g, group) == record["futile"]
+                if record["futile"]:
                     expected = SHAPE_COMPLETE if is_self_paired(g) else SHAPE_BIPARTITE
-                    assert v.shape == expected
+                    assert record["shape"] == expected
 
 
 class RecordingLists(tuple):
@@ -220,7 +230,7 @@ class TestOracle:
         for group in corpus_sample:
             for pair in enumerate_base_pairs(group):
                 g = build_orbital_graph(group, *pair)
-                if is_futile_structural(g, group).shape != SHAPE_BIPARTITE:
+                if structural_record(g, group)["shape"] != SHAPE_BIPARTITE:
                     continue
                 reads = []
                 counted = dataclasses.replace(
@@ -264,8 +274,13 @@ class TestOracle:
         perm, arc = find_arc_violation(g, gens)
         assert futility._witness(g, group) == (perm.cycles()[0], arc)
         assert not is_futile_oracle(g, group)
-        verdict = FutilityVerdict(False, SHAPE_NONE, None, (perm, arc))
-        assert is_futile_structural(g, group) == verdict
+        assert is_futile_structural(g, group) is False
+        record = structural_record(g, group)
+        assert record["shape"] == SHAPE_NONE
+        assert record["witness"] == {
+            "permutation_cycles": perm.cycle_string(),
+            "violated_arc": list(arc),
+        }
 
 
 def graph_of_arcs(degree, arcs) -> OrbitalGraph:
@@ -287,12 +302,12 @@ class TestHandBuiltShapes:
         # but lie inside the orbit 1..5, whose swap (2,3) moves the arc
         group = group_from(10, "(1,2,3,4,5)", "(6,7,8,9,10)")
         g = graph_of_arcs(10, [(3, 4)])
-        v = is_futile_structural(g, group)
-        assert not v.futile and v.shape == SHAPE_NONE
-        assert (v.witness[0].cycle_string(), v.witness[1]) == ("(2,3)", (3, 4))
+        assert is_futile_structural(g, group) is False
         assert not is_futile_oracle(g, group)
         records = verdict_records(group, 3, 4, METHODS, g)
         assert [r["futile"] for r in records] == [False] * len(METHODS)
+        assert records[1]["shape"] == SHAPE_NONE
+        assert records[1]["witness"] == {"permutation_cycles": "(2,3)", "violated_arc": [3, 4]}
 
     def test_arcs_in_one_orbit_block(self):
         # seeded subsets of one block O1 x O2 (O1 = O2 allowed, loops
@@ -308,7 +323,7 @@ class TestHandBuiltShapes:
                 continue
             for arcs in (block, rng.sample(block, rng.randint(1, len(block)))):
                 g = graph_of_arcs(group.degree, arcs)
-                verdict = is_futile_structural(g, group).futile
+                verdict = is_futile_structural(g, group)
                 assert verdict == is_futile_oracle(g, group) == (len(arcs) == len(block))
                 checked += 1
                 futile += verdict
@@ -328,15 +343,30 @@ class TestHandBuiltShapes:
     def test_unions_of_whole_orbits(self, arcs, shape):
         group = group_from(8, "(1,2)", "(3,4,5)", "(6,7,8)")
         g = graph_of_arcs(8, arcs)
-        v = is_futile_structural(g, group)
-        assert v.futile and v.shape == shape
+        assert is_futile_structural(g, group) is True
+        assert structural_record(g, group)["shape"] == shape
         assert is_futile_oracle(g, group)
+
+    def test_futile_union_of_two_blocks_has_no_witness(self):
+        # O1 x O2 with O2 x O1 is futile but of neither shape, so the
+        # structural test calls it non-futile, finds no witness, and raises
+        group = group_from(8, "(1,2)", "(3,4,5)", "(6,7,8)")
+        arcs = [(x, y) for x in (1, 2) for y in (3, 4, 5)]
+        g = graph_of_arcs(8, arcs + [(y, x) for x, y in arcs])
+        assert is_futile_oracle(g, group)
+        with pytest.raises(RuntimeError, match="every orbit-partition stabilizer generator"):
+            is_futile_structural(g, group)
 
     def test_arc_free_graph_is_complete_on_no_points(self):
         group = group_from(4, "(1,2)")
         g = OrbitalGraph(4, (1, 2), ((),) * 4, ((),) * 4)
-        assert is_futile_structural(g, group) == FutilityVerdict(True, SHAPE_COMPLETE, (), None)
+        assert is_futile_structural(g, group) is True
+        assert futility._shape(g, group, 0) == SHAPE_COMPLETE
+        assert arc_points(g) == ()
         assert is_futile_oracle(g, group)
+        # its base pair is no arc, so it has no verdict record
+        with pytest.raises(ValueError, match="not an arc"):
+            structural_record(g, group)
 
 
 class EqualityRefused(tuple):
@@ -355,7 +385,7 @@ def test_oracle_tells_shared_lists_by_identity():
     pairs = enumerate_base_pairs(group)
     checked = 0
     for g in build_orbital_graphs(group, pairs):
-        if is_futile_structural(g, group).shape != SHAPE_BIPARTITE:
+        if structural_record(g, group)["shape"] != SHAPE_BIPARTITE:
             continue
         refusing = {}
 
@@ -524,6 +554,18 @@ class TestVerdictRecord:
         with pytest.raises(ValueError, match=message):
             verdict_records(two_swaps, 1, 7, 5)
 
+    def test_methods_from_an_iterator(self, corpus_sample):
+        # the methods are read once, so a one-shot iterator serves the
+        # unknown-method check and the verdicts alike
+        groups = [group_from(4, "(1,2,3,4)"), *corpus_sample[:10]]
+        for group in groups:
+            for pair in enumerate_base_pairs(group):
+                oracle = verdict_records(group, *pair, ["oracle"])
+                assert verdict_records(group, *pair, iter(["oracle"])) == oracle
+                both = verdict_records(group, *pair, ["fast", "oracle"])
+                assert verdict_records(group, *pair, (m for m in ["fast", "oracle"])) == both
+                assert len(oracle) == 1 and len(both) == 2
+
     @pytest.mark.parametrize("methods", [["fast"], ["structural"], ["oracle"], list(METHODS)])
     def test_graph_that_is_no_orbital_graph(self, two_swaps, methods):
         # reading .degree would otherwise raise AttributeError
@@ -654,7 +696,8 @@ def test_three_routes_agree(group):
         fast = is_futile_fast(group, alpha, beta)
         structural = is_futile_structural(g, group)
         oracle = is_futile_oracle(g, group)
-        assert fast == structural.futile == oracle
+        assert type(structural) is bool
+        assert fast == structural == oracle
 
 
 @given(groups_st(min_degree=3, max_degree=5))
@@ -678,7 +721,7 @@ def test_three_routes_agree_at_larger_degrees():
         for alpha, beta in pairs:
             g = build_orbital_graph(group, alpha, beta)
             fast = is_futile_fast(group, alpha, beta)
-            assert fast == is_futile_structural(g, group).futile == is_futile_oracle(g, group)
+            assert fast == is_futile_structural(g, group) == is_futile_oracle(g, group)
             rec = verdict_record(group, alpha, beta, "fast")
             assert rec["thresholds"]["exceeds"] == fast
             assert rec["arc_count"] == len(g.arcs)
@@ -725,12 +768,63 @@ def test_formula_families(build, args, pairs, futile):
     for alpha, beta in found:
         g = build_orbital_graph(group, alpha, beta)
         fast = is_futile_fast(group, alpha, beta)
-        assert fast == is_futile_structural(g, group).futile == is_futile_oracle(g, group)
+        assert fast == is_futile_structural(g, group) == is_futile_oracle(g, group)
         rec = verdict_record(group, alpha, beta, "fast")
         assert rec["thresholds"]["exceeds"] == fast
         assert rec["arc_count"] == len(g.arcs)
         verdicts.append(fast)
     assert sum(verdicts) == futile
+
+
+def block_counts(group) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """Per orbit block, keyed as burnside_block_counts keys it, the
+    enumeration's pairs, how many of them the fast test calls futile, and
+    how many of their graphs are self-paired."""
+    sized = list(_sized_base_pairs(group))
+    graphs = build_orbital_graphs(group, [pair for pair, _ in sized])
+    counts = {}
+    for ((alpha, beta), sizes), g in zip(sized, graphs):
+        key = (alpha, group.orbit(beta)[0])
+        pairs, futile, paired = counts.get(key, (0, 0, 0))
+        counts[key] = (pairs + 1, futile + futility._fast(sizes), paired + is_self_paired(g))
+    return counts
+
+
+def assert_burnside_counts(group):
+    # a graph is futile exactly when it is the one orbital of its block
+    expected = {
+        key: (orbitals, int(orbitals == 1), paired)
+        for key, (orbitals, paired) in burnside_block_counts(group).items()
+    }
+    found = dict.fromkeys(expected, (0, 0, 0))
+    found.update(block_counts(group))
+    assert found == expected
+
+
+def test_burnside_counts_per_orbit_block(corpus):
+    # the corpus groups of order at most 5000, block by block: Burnside's
+    # lemma over every element against the enumeration and the graphs
+    groups = [group for group in corpus if group.order() <= 5000]
+    for group in groups:
+        assert_burnside_counts(group)
+    assert len(groups) > 300
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (cyclic_group, (30,)),
+        (dihedral_group, (64,)),
+        (wreath_group, (2, 5)),
+        (product_action_group, (3, 4)),
+        (alternating_group, (7,)),
+        (pgl2, (13,)),
+        (disjoint_symmetric_groups, (4, 3)),
+    ],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_burnside_counts_on_formula_families(build, args):
+    assert_burnside_counts(build(*args))
 
 
 def _reference_groups(corpus):
@@ -755,7 +849,8 @@ def test_witness_equals_reference_sweep(corpus):
         for alpha, beta in enumerate_base_pairs(group):
             g = build_orbital_graph(group, alpha, beta)
             expected = find_arc_violation(g, gens)
-            assert is_futile_structural(g, group).witness == expected
+            witness = futility._witness(g, group)
+            assert witness == (None if expected is None else (expected[0].cycles()[0], expected[1]))
             record = verdict_record(group, alpha, beta, "oracle", g)["witness"]
             if expected is None:
                 assert record is None

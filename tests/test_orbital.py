@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 
 from orbgraph.orbital import (
-    _pair_orbit_sizes,
+    _orbit_sizes,
     _sized_base_pairs,
     build_orbital_graph,
+    check_base_pair,
     build_orbital_graphs,
     enumerate_base_pairs,
     graph_to_json,
@@ -382,12 +383,13 @@ def assert_sizes_are_independent(group):
     sized = list(_sized_base_pairs(group))
     assert [pair for pair, _ in sized] == enumerate_base_pairs(group)
     for (alpha, beta), sizes in sized:
-        assert sizes == _pair_orbit_sizes(group, alpha, beta)
+        check_base_pair(group.degree, alpha, beta)
+        assert sizes == _orbit_sizes(group, alpha, beta)
 
 
 class TestSizedBasePairs:
     """The enumeration's sizes, read off the cells it walks, equal the ones
-    _pair_orbit_sizes looks up for each pair on its own."""
+    _orbit_sizes looks up for each checked pair on its own."""
 
     @pytest.mark.parametrize("index", range(len(FORMULA_GROUPS)))
     def test_formula_groups(self, index):
@@ -413,8 +415,7 @@ class TestSizedBasePairs:
         def no_lookup(*args):
             raise AssertionError("per-pair orbit size lookup")
 
-        monkeypatch.setattr("orbgraph.orbital._pair_orbit_sizes", no_lookup)
-        monkeypatch.setattr("orbgraph.futility._pair_orbit_sizes", no_lookup)
+        monkeypatch.setattr("orbgraph.futility._orbit_sizes", no_lookup)
         assert [pair for pair, _ in select_useful_graphs(group)] == expected
 
 
@@ -450,7 +451,8 @@ class TestOrbitTable:
         assert sorted(p for cell in cells for p in cell) == list(range(1, group.degree + 1))
         for alpha, beta in enumerate_base_pairs(group):
             for a, b in ((alpha, beta), (beta, alpha)):
-                assert _pair_orbit_sizes(group, a, b)[3] == (b in group.orbit(a))
+                check_base_pair(group.degree, a, b)
+                assert _orbit_sizes(group, a, b)[3] == (b in group.orbit(a))
 
     def test_corpus(self, corpus_sample):
         for group in corpus_sample:

@@ -1,15 +1,19 @@
 """Properties of the package as a whole."""
 
 import ast
+import re
 import subprocess
 import sys
 import types
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import orbgraph
 
 MODULES = sorted(Path(orbgraph.__file__).parent.glob("*.py"))
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_imports_only_the_standard_library():
@@ -31,7 +35,6 @@ def test_imports_only_the_standard_library():
 
 
 PUBLIC_NAMES = {
-    "FutilityVerdict",
     "METHODS",
     "OrbitalGraph",
     "OrderedPartition",
@@ -74,6 +77,21 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert names == PUBLIC_NAMES
+
+
+def test_readme_quickstart_runs():
+    # the one code block of the "Library quickstart" section prints a line
+    # per enumerated pair, led by the pair
+    section = README.read_text(encoding="utf-8").split("## Library quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    namespace = {}
+    with redirect_stdout(StringIO()) as out:
+        exec(compile(code, str(README), "exec"), namespace)
+    lines = out.getvalue().splitlines()
+    pairs = orbgraph.enumerate_base_pairs(namespace["group"])
+    assert len(lines) == len(pairs) > 1
+    for line, pair in zip(lines, pairs):
+        assert line.startswith(f"{pair} ")
 
 
 def test_a_failing_hypothesis_test_does_not_stop_the_run(tmp_path):
