@@ -3,8 +3,11 @@
 Subcommands: orbits, graph, base-pairs, futility, refine. The group comes
 from a file, or inline when the argument starts with "degree:" or contains
 a newline. Exit codes: 0 success, 1 usage error, 2 input error, 3 internal
-verdict disagreement or other internal error, 141 when the reader of
-standard output closed it early.
+error, 141 when the reader of standard output closed it early. The
+library raises RuntimeError only on an internal inconsistency, such as
+the futility methods disagreeing on a pair, which the verdict step
+checks for the CLI and verdict_records alike; run() reports it as one
+"internal error: ..." line on stderr and exit 3.
 """
 
 from __future__ import annotations
@@ -114,17 +117,12 @@ def _cmd_futility(args) -> int:
         graphs = build_orbital_graphs(group, pairs) if build else [None] * len(pairs)
         sizes_of = [sizes for _, sizes in sized]
 
-    rows = []
-    for (alpha, beta), graph, sizes in zip(pairs, graphs, sizes_of):
-        verdicts = _pair_verdicts(group, methods, graph, sizes)
-        if len({futile for _, futile, *_ in verdicts}) > 1:
-            detail = ", ".join(f"{method}={futile}" for method, futile, *_ in verdicts)
-            print(
-                f"verdict disagreement for pair ({alpha},{beta}): {detail}",
-                file=sys.stderr,
-            )
-            return 3
-        rows.append(verdicts)
+    # every verdict is made, and its methods' agreement checked, before
+    # anything is printed; a disagreement raises RuntimeError, exit 3
+    rows = [
+        _pair_verdicts(group, pair, methods, graph, sizes)
+        for pair, graph, sizes in zip(pairs, graphs, sizes_of)
+    ]
 
     if args.json:
         print(_verdicts_json(pairs, sizes_of, rows))

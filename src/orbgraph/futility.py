@@ -224,11 +224,21 @@ def verdict_records(group, alpha, beta, methods, graph=None) -> list[dict]:
     a bad pair or method. The pair is checked once, by the closure when it
     builds the graph.
 
+    The methods must agree, as the CLI's must: two that give the pair
+    different futile verdicts raise RuntimeError, naming the pair and each
+    method's verdict. A given graph that holds the pair as an arc but is
+    not the pair's orbital graph can make the fast verdict, read from
+    orbit arithmetic, differ from the verdicts read off the graph; the
+    call then raises. An empty method set gives no record once the
+    methods and the pair are checked, and builds no stabilizer.
+
     The records are the CLI's JSON for the pair, parsed: one format
     serves both, and no two records share a dict or list.
     """
     methods, graph, sizes = _checked_pair(group, alpha, beta, methods, graph)
-    verdicts = _pair_verdicts(group, methods, graph, sizes)
+    if not methods:
+        return []
+    verdicts = _pair_verdicts(group, (alpha, beta), methods, graph, sizes)
     return json.loads(_verdicts_json([(alpha, beta)], [sizes], [verdicts]))
 
 
@@ -237,7 +247,8 @@ def _checked_pair(group, alpha, beta, methods, graph):
     does, and return the methods as a tuple, read once, so that an
     iterator serves every later read too; the graph the methods read,
     built by closure when one is needed and none is given; and the pair's
-    orbit sizes."""
+    orbit sizes, or None for an empty method set, which needs none and so
+    builds no stabilizer."""
     try:
         methods = tuple(methods)
     except TypeError:
@@ -254,7 +265,7 @@ def _checked_pair(group, alpha, beta, methods, graph):
             if not graph.has_arc(alpha, beta):
                 raise ValueError(f"base pair ({alpha},{beta}) is not an arc of the graph")
     k = None if graph is None or "fast" in methods else len(graph.out_adj[alpha - 1])
-    return methods, graph, _orbit_sizes(group, alpha, beta, k)
+    return methods, graph, _orbit_sizes(group, alpha, beta, k) if methods else None
 
 
 # one verdict record as json.dumps writes it: every string in it is a
@@ -288,14 +299,17 @@ def _verdicts_json(pairs, sizes_of, verdicts_of) -> str:
     return "[" + ", ".join(parts) + "]"
 
 
-def _pair_verdicts(group, methods, graph, sizes) -> list[tuple]:
+def _pair_verdicts(group, pair, methods, graph, sizes) -> list[tuple]:
     """Each method's verdict on a pair's graph and orbit sizes, none of
     which is checked, as (method, futile, shape, witness, arc_count): a
     witness is ((a, b), arc), as _witness finds it, or None. The graph may
     be None for the fast method alone.
 
     The graph's arcs are counted once. The witness search is made once
-    and serves both the structural and the oracle verdict.
+    and serves both the structural and the oracle verdict. Methods that
+    differ on the pair's futility raise RuntimeError, naming the pair and
+    each method's verdict; this is the one check of the three tests'
+    agreement, for the CLI and verdict_records alike.
     """
     n, k, _, same_orbit = sizes
     arcs = None if graph is None else sum(map(len, graph.out_adj))
@@ -315,4 +329,7 @@ def _pair_verdicts(group, methods, graph, sizes) -> list[tuple]:
         if futile and method != "structural":
             shape = SHAPE_COMPLETE if same_orbit else SHAPE_BIPARTITE
         verdicts.append((method, futile, shape, witness, n * k if method == "fast" else arcs))
+    if len({futile for _, futile, *_ in verdicts}) > 1:
+        detail = ", ".join(f"{method}={futile}" for method, futile, *_ in verdicts)
+        raise RuntimeError(f"verdict disagreement for pair ({pair[0]},{pair[1]}): {detail}")
     return verdicts

@@ -179,12 +179,13 @@ def brute_arcs(elements, alpha, beta) -> tuple[tuple[int, int], ...]:
     return tuple(sorted({(e.apply(alpha), e.apply(beta)) for e in elements}))
 
 
-def burnside_block_counts(group) -> dict[tuple[int, int], tuple[int, int]]:
+def burnside_block_counts(group) -> dict[tuple[int, int], tuple[int, int, int]]:
     """Burnside's lemma on each orbit block O_i x O_j, from every element
     and no stabilizer: keyed by the least points of O_i and O_j, the
-    number of orbitals in the block, the diagonal left out when i = j, and
+    number of orbitals in the block, the diagonal left out when i = j;
     the number of those that are self-paired, which only a block with
-    i = j holds.
+    i = j holds; and the number of pairs in the block, |O_i||O_j| less
+    the |O_i| of the diagonal when i = j, which its orbitals' arcs share.
 
     With fix_i(g) the points of O_i that g fixes, g fixes fix_i(g)
     fix_j(g) pairs of the block, so the block holds (1/|G|) sum_g
@@ -210,6 +211,7 @@ def burnside_block_counts(group) -> dict[tuple[int, int], tuple[int, int]]:
         (orbits[i][0], orbits[j][0]): (
             pair_sums[i][j] // order - (i == j),
             square_sums[i] // order - 1 if i == j else 0,
+            len(orbits[i]) * (len(orbits[j]) - (i == j)),
         )
         for i in range(r)
         for j in range(r)
@@ -274,7 +276,7 @@ def reference_records(group, alpha, beta, methods, graph=None) -> list[dict]:
     threshold, exceeds = futility._bounds(sizes)
     records = []
     for method, futile, shape, witness, arc_count in futility._pair_verdicts(
-        group, methods, graph, sizes
+        group, (alpha, beta), methods, graph, sizes
     ):
         if witness is not None:
             (a, b), arc = witness

@@ -507,7 +507,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "verdict disagreement for pair (1,2): fast=True, structural=False, oracle=False\n"
+            "internal error: verdict disagreement for pair (1,2): "
+            "fast=True, structural=False, oracle=False\n"
         )
 
     @pytest.mark.parametrize(
@@ -516,15 +517,17 @@ class TestExitCodes:
         ids=["table", "pair-json", "pair-table"],
     )
     def test_verdict_disagreement_exits_3_in_every_mode(self, capsys, monkeypatch, extra):
-        # the verdicts are checked before anything is printed, by the one
-        # path of all pairs and of --pair, as a table or as JSON
+        # the verdicts are checked before anything is printed, by the
+        # verdict step that all pairs and --pair share, as a table or as
+        # JSON, and reported by run() as one internal error
         real = futility._fast
         monkeypatch.setattr("orbgraph.futility._fast", lambda sizes: not real(sizes))
         assert run(["futility", TWO_TRIANGLES, *extra]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "verdict disagreement for pair (1,2): fast=True, structural=False, oracle=False\n"
+            "internal error: verdict disagreement for pair (1,2): "
+            "fast=True, structural=False, oracle=False\n"
         )
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):

@@ -566,6 +566,51 @@ class TestVerdictRecord:
                 assert verdict_records(group, *pair, (m for m in ["fast", "oracle"])) == both
                 assert len(oracle) == 1 and len(both) == 2
 
+    def test_empty_method_set_builds_no_stabilizer(self, monkeypatch, two_swaps):
+        # the methods and the pair are checked, and then nothing is read
+        def no_stabilizer(*_):
+            raise AssertionError("point stabilizer built")
+
+        monkeypatch.setattr(PermGroup, "point_stabilizer", no_stabilizer)
+        group = cyclic_group(6)
+        assert verdict_records(group, 1, 2, []) == []
+        assert verdict_records(group, 1, 2, iter([])) == []
+        assert verdict_records(two_swaps, 1, 3, [], build_orbital_graph(two_swaps, 1, 3)) == []
+        with pytest.raises(ValueError, match="out of range"):
+            verdict_records(group, 1, 7, [])
+        with pytest.raises(ValueError, match=r"\(1,2\) is not an arc"):
+            verdict_records(two_swaps, 1, 2, [], build_orbital_graph(two_swaps, 4, 2))
+
+    def test_disagreeing_methods_raise(self, monkeypatch, two_triangles):
+        real = futility._fast
+        monkeypatch.setattr(futility, "_fast", lambda sizes: not real(sizes))
+        message = exactly(
+            "verdict disagreement for pair (1,2): fast=True, structural=False, oracle=False"
+        )
+        with pytest.raises(RuntimeError, match=message):
+            verdict_records(two_triangles, 1, 2, METHODS)
+        with pytest.raises(RuntimeError, match=exactly(
+            "verdict disagreement for pair (1,2): fast=True, oracle=False"
+        )):
+            verdict_records(two_triangles, 1, 2, ["fast", "oracle"])
+        # one method has nothing to disagree with
+        [record] = verdict_records(two_triangles, 1, 2, ["fast"])
+        assert record["futile"] is True and record["method"] == "fast"
+
+    def test_graph_that_is_not_the_pairs_orbital_graph(self):
+        # (1,6) is futile on C_5 x C_5, its graph the whole block
+        # {1..5} x {6..10}; the single arc (1,6) holds the pair but lies
+        # inside that block, so the graph's tests call it not futile
+        group = group_from(10, "(1,2,3,4,5)", "(6,7,8,9,10)")
+        g = graph_of_arcs(10, [(1, 6)])
+        message = exactly(
+            "verdict disagreement for pair (1,6): fast=True, structural=False, oracle=False"
+        )
+        with pytest.raises(RuntimeError, match=message):
+            verdict_records(group, 1, 6, METHODS, g)
+        records = verdict_records(group, 1, 6, ["structural", "oracle"], g)
+        assert [r["futile"] for r in records] == [False, False]
+
     @pytest.mark.parametrize("methods", [["fast"], ["structural"], ["oracle"], list(METHODS)])
     def test_graph_that_is_no_orbital_graph(self, two_swaps, methods):
         # reading .degree would otherwise raise AttributeError
@@ -776,27 +821,37 @@ def test_formula_families(build, args, pairs, futile):
     assert sum(verdicts) == futile
 
 
-def block_counts(group) -> dict[tuple[int, int], tuple[int, int, int]]:
+def block_counts(group) -> dict[tuple[int, int], tuple[int, ...]]:
     """Per orbit block, keyed as burnside_block_counts keys it, the
-    enumeration's pairs, how many of them the fast test calls futile, and
-    how many of their graphs are self-paired."""
+    enumeration's pairs; how many of them the fast test, the structural
+    test and the oracle each call futile; how many of their graphs are
+    self-paired; and the arcs of their graphs, summed."""
     sized = list(_sized_base_pairs(group))
     graphs = build_orbital_graphs(group, [pair for pair, _ in sized])
     counts = {}
     for ((alpha, beta), sizes), g in zip(sized, graphs):
         key = (alpha, group.orbit(beta)[0])
-        pairs, futile, paired = counts.get(key, (0, 0, 0))
-        counts[key] = (pairs + 1, futile + futility._fast(sizes), paired + is_self_paired(g))
+        found = (
+            1,
+            futility._fast(sizes),
+            is_futile_structural(g, group),
+            is_futile_oracle(g, group),
+            is_self_paired(g),
+            sum(map(len, g.out_adj)),
+        )
+        counts[key] = tuple(map(sum, zip(counts.get(key, (0,) * 6), found)))
     return counts
 
 
 def assert_burnside_counts(group):
-    # a graph is futile exactly when it is the one orbital of its block
-    expected = {
-        key: (orbitals, int(orbitals == 1), paired)
-        for key, (orbitals, paired) in burnside_block_counts(group).items()
-    }
-    found = dict.fromkeys(expected, (0, 0, 0))
+    # a graph is futile exactly when it is the one orbital of its block,
+    # for each of the three tests, and a block's orbitals partition its
+    # pairs, so their graphs' arcs number the block's pairs
+    expected = {}
+    for key, (orbitals, paired, block_pairs) in burnside_block_counts(group).items():
+        futile = int(orbitals == 1)
+        expected[key] = (orbitals, futile, futile, futile, paired, block_pairs)
+    found = dict.fromkeys(expected, (0,) * 6)
     found.update(block_counts(group))
     assert found == expected
 
